@@ -86,6 +86,8 @@ inline std::string HistogramSummariesJson(
 }
 
 /// Writes `contents` to `path` (for --trace_out= / --telemetry_out=).
+/// False, with a message on stderr, on any open, short-write or close
+/// error.
 inline bool WriteFileContents(const std::string& path,
                               const std::string& contents) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -93,8 +95,13 @@ inline bool WriteFileContents(const std::string& path,
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return false;
   }
-  std::fwrite(contents.data(), 1, contents.size(), f);
-  std::fclose(f);
+  const bool written =
+      std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
   return true;
 }
 

@@ -10,7 +10,7 @@
 #include "common/random.h"
 #include "datagen/cluster_generator.h"
 #include "itemsets/hash_tree.h"
-#include "itemsets/prefix_tree.h"
+#include "itemsets/itemset_trie.h"
 #include "tidlist/tidlist.h"
 
 namespace demon {
@@ -67,7 +67,7 @@ void BM_PrefixTreeCount(benchmark::State& state) {
   const TransactionBlock block = gen.GenerateAll();
 
   Rng rng(6);
-  PrefixTree tree;
+  ItemsetTrie tree;
   for (size_t s = 0; s < num_itemsets; ++s) {
     Itemset itemset;
     const size_t size = 2 + rng.NextUint64(3);

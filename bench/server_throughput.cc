@@ -11,6 +11,7 @@
 //   ./server_throughput                       # table
 //   ./server_throughput --benchmark_format=json > BENCH_server.json
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -20,6 +21,7 @@
 #include "bench/bench_util.h"
 #include "common/flags.h"
 #include "common/random.h"
+#include "common/sync.h"
 #include "common/telemetry.h"
 #include "server/server.h"
 #include "server/wire.h"
@@ -53,13 +55,16 @@ struct RunResult {
   double p50_seconds = 0.0;
   double p95_seconds = 0.0;
   uint64_t requests = 0;
+  /// Records the server admitted; throughput counts only these.
+  uint64_t records_admitted = 0;
 };
 
 /// One complete run: fresh server over `data_dir`, `connections` client
 /// threads splitting `tenants` tenants, every record streamed, flushed
-/// durably, server stopped.
-RunResult RunServer(const std::string& data_dir, uint64_t tenants,
-                    uint64_t records, uint64_t batch, uint64_t connections) {
+/// durably, server stopped. Any failed call fails the run.
+Result<RunResult> RunServer(const std::string& data_dir, uint64_t tenants,
+                            uint64_t records, uint64_t batch,
+                            uint64_t connections) {
   server::ServerOptions options;
   options.data_dir = data_dir;
   options.port = 0;
@@ -67,32 +72,46 @@ RunResult RunServer(const std::string& data_dir, uint64_t tenants,
   options.policy.flush_records = 64;
   options.policy.checkpoint_blocks = 4;
   server::DemonServer server(options);
-  if (!server.Start().ok()) return {};
+  DEMON_RETURN_NOT_OK(server.Start());
 
   telemetry::TelemetryRegistry registry;
+  std::atomic<uint64_t> admitted{0};
+  Mutex error_mutex;
+  Status first_error;
+  auto fail = [&](const Status& status) {
+    MutexLock lock(error_mutex);
+    if (first_error.ok()) first_error = status;
+  };
   const uint64_t start_ns = telemetry::NowNanos();
   std::vector<std::thread> workers;
   for (uint64_t w = 0; w < connections; ++w) {
     workers.emplace_back([&, w] {
       ClientConnection connection;
-      if (!connection.Connect("127.0.0.1", server.port()).ok()) return;
+      const Status connected = connection.Connect("127.0.0.1", server.port());
+      if (!connected.ok()) return fail(connected);
       for (uint64_t t = w; t < tenants; t += connections) {
+        // Built piecewise: GCC 12 misreports "t" + to_string() here as an
+        // overlapping memcpy (-Wrestrict).
+        std::string tenant = "t";
+        tenant += std::to_string(t);
         Request create;
         create.type = MsgType::kCreateTenant;
-        create.tenant = "t" + std::to_string(t);
+        create.tenant = tenant;
         create.num_items = kNumItems;
         MonitorSpec spec;
         spec.kind = MonitorKind::kUnrestrictedItemsets;
         spec.name = "itemsets";
         spec.minsup = 0.3;
         create.specs.push_back(std::move(spec));
-        if (!connection.Call(create).ok()) return;
+        auto created = connection.Call(create);
+        if (!created.ok()) return fail(created.status());
+        if (!created.value().ok()) return fail(created.value().ToStatus());
         uint64_t cursor = 0;
         while (cursor < records) {
           const uint64_t n = std::min(batch, records - cursor);
           Request append;
           append.type = MsgType::kAppendBatch;
-          append.tenant = "t" + std::to_string(t);
+          append.tenant = tenant;
           append.first_record_index = cursor;
           append.transactions.reserve(n);
           for (uint64_t i = 0; i < n; ++i) {
@@ -105,8 +124,14 @@ RunResult RunServer(const std::string& data_dir, uint64_t tenants,
                   static_cast<double>(telemetry::NowNanos() - call_ns) /
                   1e9);
           registry.counter("client/requests")->Increment();
-          if (!response.ok() || !response.value().ok()) return;
-          cursor = response.value().records_admitted;
+          if (!response.ok()) return fail(response.status());
+          if (!response.value().ok()) return fail(response.value().ToStatus());
+          const uint64_t next = response.value().records_admitted;
+          if (next <= cursor) {
+            return fail(Status::Internal("no record admitted for " + tenant));
+          }
+          admitted.fetch_add(next - cursor, std::memory_order_relaxed);
+          cursor = next;
         }
       }
     });
@@ -114,18 +139,24 @@ RunResult RunServer(const std::string& data_dir, uint64_t tenants,
   for (std::thread& worker : workers) worker.join();
 
   ClientConnection connection;
-  if (connection.Connect("127.0.0.1", server.port()).ok()) {
+  Status flushed = connection.Connect("127.0.0.1", server.port());
+  if (flushed.ok()) {
     Request flush_all;
     flush_all.type = MsgType::kFlushAll;
-    (void)connection.Call(flush_all);
+    auto response = connection.Call(flush_all);
+    flushed = response.ok() ? response.value().ToStatus() : response.status();
   }
-  (void)server.Stop();
+  const Status stopped = server.Stop();
+  DEMON_RETURN_NOT_OK(first_error);
+  DEMON_RETURN_NOT_OK(flushed);
+  DEMON_RETURN_NOT_OK(stopped);
 
   RunResult result;
   result.seconds =
       static_cast<double>(telemetry::NowNanos() - start_ns) / 1e9;
+  result.records_admitted = admitted.load();
   result.records_per_second =
-      static_cast<double>(tenants * records) / result.seconds;
+      static_cast<double>(result.records_admitted) / result.seconds;
   result.requests = registry.counter("client/requests")->value();
   for (const auto& summary : registry.HistogramSummaries()) {
     if (summary.name == "client/request_seconds") {
@@ -189,8 +220,15 @@ int main(int argc, char** argv) {
     const uint64_t connections = sweep[i];
     const std::string data_dir = flags.GetString("data_dir") + "/conn" +
                                  std::to_string(connections);
-    const RunResult r =
+    const Result<RunResult> run =
         RunServer(data_dir, tenants, records, batch, connections);
+    if (!run.ok()) {
+      std::fprintf(stderr, "server_throughput: %llu connections: %s\n",
+                   static_cast<unsigned long long>(connections),
+                   run.status().ToString().c_str());
+      return 1;
+    }
+    const RunResult& r = run.value();
     char line[256];
     std::snprintf(
         line, sizeof(line),

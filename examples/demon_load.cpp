@@ -64,7 +64,11 @@ Transaction MakeRecord(const LoadConfig& config, uint64_t tenant_index,
 }
 
 std::string TenantName(uint64_t tenant_index) {
-  return "t" + std::to_string(tenant_index);
+  // Built piecewise: GCC 12 misreports "t" + to_string() as an overlapping
+  // memcpy (-Wrestrict), which breaks -DDEMON_WERROR=ON builds.
+  std::string name = "t";
+  name += std::to_string(tenant_index);
+  return name;
 }
 
 /// Issues one call and records its latency.

@@ -5,27 +5,9 @@
 #include "common/check.h"
 #include "common/stats.h"
 #include "itemsets/apriori.h"
-#include "itemsets/prefix_tree.h"
+#include "itemsets/counting_context.h"
 
 namespace demon {
-
-namespace {
-
-// Counts the supports of `itemsets` in `block` with one scan.
-std::vector<uint64_t> CountInBlock(const std::vector<Itemset>& itemsets,
-                                   const TransactionBlock& block) {
-  PrefixTree tree;
-  std::vector<size_t> ids;
-  ids.reserve(itemsets.size());
-  for (const Itemset& itemset : itemsets) ids.push_back(tree.Insert(itemset));
-  for (const Transaction& t : block.transactions()) tree.CountTransaction(t);
-  std::vector<uint64_t> counts;
-  counts.reserve(itemsets.size());
-  for (size_t id : ids) counts.push_back(tree.CountOf(id));
-  return counts;
-}
-
-}  // namespace
 
 DeviationResult SummarizeRegionCounts(const std::vector<double>& counts1,
                                       double n1,
@@ -99,12 +81,20 @@ DeviationResult FocusItemsets::CompareWithModels(const TransactionBlock& d1,
       missing2.push_back(i);
     }
   }
+  // Untracked regions are counted with one PT-Scan of their block.
+  CountingContext counting;
+  auto count_in = [&counting](const std::vector<Itemset>& itemsets,
+                              const TransactionBlock& block) {
+    auto alias = std::shared_ptr<const TransactionBlock>(
+        std::shared_ptr<const TransactionBlock>(), &block);
+    return counting.PtScan(itemsets, {alias});
+  };
   bool scanned = false;
   if (!missing1.empty()) {
     std::vector<Itemset> todo;
     todo.reserve(missing1.size());
     for (size_t i : missing1) todo.push_back(regions[i]);
-    const std::vector<uint64_t> counted = CountInBlock(todo, d1);
+    const std::vector<uint64_t> counted = count_in(todo, d1);
     for (size_t j = 0; j < missing1.size(); ++j) {
       counts1[missing1[j]] = static_cast<double>(counted[j]);
     }
@@ -114,7 +104,7 @@ DeviationResult FocusItemsets::CompareWithModels(const TransactionBlock& d1,
     std::vector<Itemset> todo;
     todo.reserve(missing2.size());
     for (size_t i : missing2) todo.push_back(regions[i]);
-    const std::vector<uint64_t> counted = CountInBlock(todo, d2);
+    const std::vector<uint64_t> counted = count_in(todo, d2);
     for (size_t j = 0; j < missing2.size(); ++j) {
       counts2[missing2[j]] = static_cast<double>(counted[j]);
     }

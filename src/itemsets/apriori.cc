@@ -19,7 +19,7 @@ ItemsetModel Apriori(
   for (const auto& block : blocks) num_transactions += block->size();
   model.set_num_transactions(num_transactions);
   const uint64_t min_count = model.MinCount();
-  auto& entries = *model.mutable_entries();
+  ItemsetTrie& trie = *model.mutable_entries();
 
   // Level 1: count every item with a dense array (cheaper than the tree).
   const std::vector<uint64_t> item_counts =
@@ -27,15 +27,13 @@ ItemsetModel Apriori(
   std::vector<Itemset> frequent_prev;
   for (Item item = 0; item < num_items; ++item) {
     const bool frequent = item_counts[item] >= min_count;
-    entries.emplace(Itemset{item},
-                    ItemsetModel::Entry{item_counts[item], frequent});
+    trie.Insert(Itemset{item}, ItemsetModel::Entry{item_counts[item], frequent});
     if (frequent) frequent_prev.push_back(Itemset{item});
   }
 
   // Levels k >= 2: generate, count with one scan, split into L_k / border.
-  auto is_frequent = [&entries](const Itemset& itemset) {
-    const auto it = entries.find(itemset);
-    return it != entries.end() && it->second.frequent;
+  auto is_frequent = [&model](const Itemset& itemset) {
+    return model.IsFrequent(itemset);
   };
   while (!frequent_prev.empty()) {
     std::vector<Itemset> candidates =
@@ -46,7 +44,7 @@ ItemsetModel Apriori(
     const std::vector<uint64_t> counts = context->PtScan(candidates, blocks);
     for (size_t i = 0; i < candidates.size(); ++i) {
       const bool frequent = counts[i] >= min_count;
-      entries.emplace(candidates[i], ItemsetModel::Entry{counts[i], frequent});
+      trie.Insert(candidates[i], ItemsetModel::Entry{counts[i], frequent});
       if (frequent) frequent_prev.push_back(std::move(candidates[i]));
     }
   }

@@ -90,13 +90,14 @@ std::vector<AssociationRule> DeriveRulesFrom(const ItemsetModel& model,
 std::vector<AssociationRule> DeriveRules(const ItemsetModel& model,
                                          double min_confidence) {
   std::vector<AssociationRule> rules;
-  for (const auto& [itemset, entry] : model.entries()) {
-    if (!entry.frequent || itemset.size() < 2) continue;
-    auto from_itemset = DeriveRulesFrom(model, itemset, min_confidence);
-    rules.insert(rules.end(),
-                 std::make_move_iterator(from_itemset.begin()),
-                 std::make_move_iterator(from_itemset.end()));
-  }
+  model.entries().ForEachFrequent(
+      [&](const Itemset& itemset, ItemsetTrie::NodeId) {
+        if (itemset.size() < 2) return;
+        auto from_itemset = DeriveRulesFrom(model, itemset, min_confidence);
+        rules.insert(rules.end(),
+                     std::make_move_iterator(from_itemset.begin()),
+                     std::make_move_iterator(from_itemset.end()));
+      });
   SortRules(&rules);
   return rules;
 }

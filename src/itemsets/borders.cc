@@ -25,6 +25,28 @@ TidListStoreOptions StoreOptionsFor(const BordersOptions& options) {
   return store;
 }
 
+/// The items of the frequent 1-itemsets, ascending.
+std::vector<Item> FrequentItems(const ItemsetTrie& trie) {
+  std::vector<Item> items;
+  trie.ForEachChild(ItemsetTrie::kRoot, [&](ItemsetTrie::NodeId node) {
+    if (trie.IsFrequentNode(node)) items.push_back(trie.item(node));
+  });
+  return items;
+}
+
+/// Writes `base` ∪ {extension} into `*out` and returns the extension's
+/// position in it; false (and `*out` untouched) when `base` holds it.
+bool ExtendBy(const Itemset& base, Item extension, Itemset* out,
+              size_t* position) {
+  const auto at = std::lower_bound(base.begin(), base.end(), extension);
+  if (at != base.end() && *at == extension) return false;
+  *position = static_cast<size_t>(at - base.begin());
+  out->assign(base.begin(), at);
+  out->push_back(extension);
+  out->insert(out->end(), at, base.end());
+  return true;
+}
+
 }  // namespace
 
 BordersMaintainer::BordersMaintainer(const BordersOptions& options)
@@ -38,30 +60,20 @@ BordersMaintainer::BordersMaintainer(const BordersOptions& options)
 void BordersMaintainer::FoldBlockCounts(const TransactionBlock& block,
                                         int sign) {
   if (model_.entries().empty()) return;
-  // Entry pointers are stable across unordered_map lookups (no inserts
-  // happen while counting), so bind them once.
-  std::vector<Itemset> itemsets;
-  std::vector<ItemsetModel::Entry*> entries;
-  itemsets.reserve(model_.entries().size());
-  entries.reserve(model_.entries().size());
-  for (auto& [itemset, entry] : *model_.mutable_entries()) {
-    itemsets.push_back(itemset);
-    entries.push_back(&entry);
-  }
   // Non-owning alias: the counting kernel only reads the block.
   auto alias = std::shared_ptr<const TransactionBlock>(
       std::shared_ptr<const TransactionBlock>(), &block);
-  const std::vector<uint64_t> deltas = counting_.PtScan(itemsets, {alias});
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const uint64_t delta = deltas[i];
+  ItemsetTrie& trie = *model_.mutable_entries();
+  const std::vector<uint64_t>& deltas = counting_.PtScanNodes(trie, {alias});
+  trie.ForEachTrackedNode([&](ItemsetTrie::NodeId node) {
+    uint64_t& count = trie.mutable_count(node);
     if (sign > 0) {
-      entries[i]->count += delta;
+      count += deltas[node];
     } else {
-      DEMON_CHECK_MSG(entries[i]->count >= delta,
-                      "deletion underflows a count");
-      entries[i]->count -= delta;
+      DEMON_CHECK_MSG(count >= deltas[node], "deletion underflows a count");
+      count -= deltas[node];
     }
-  }
+  });
 }
 
 void BordersMaintainer::AddBlock(
@@ -114,7 +126,7 @@ void BordersMaintainer::AddBlock(
 
   DEMON_TRACE_SPAN(span, telemetry_, "borders-update", "borders");
   telemetry::ScopedTimer timer(update_hist_);
-  Refresh({});
+  Refresh();
   last_stats_.update_seconds = timer.Stop();
 }
 
@@ -138,7 +150,7 @@ void BordersMaintainer::RemoveBlockAt(size_t index) {
 
   DEMON_TRACE_SPAN(span, telemetry_, "borders-update", "borders");
   telemetry::ScopedTimer timer(update_hist_);
-  Refresh({});
+  Refresh();
   last_stats_.update_seconds = timer.Stop();
 }
 
@@ -149,37 +161,33 @@ void BordersMaintainer::ChangeMinSupport(double minsup) {
   last_stats_ = UpdateStats{};
   DEMON_TRACE_SPAN(span, telemetry_, "borders-update", "borders");
   telemetry::ScopedTimer timer(update_hist_);
-  Refresh({});
+  Refresh();
   last_stats_.update_seconds = timer.Stop();
 }
 
-void BordersMaintainer::Refresh(const std::vector<Itemset>& promotion_seeds) {
+void BordersMaintainer::Refresh() {
   const uint64_t min_count = model_.MinCount();
-  auto& entries = *model_.mutable_entries();
+  ItemsetTrie& trie = *model_.mutable_entries();
 
   // Flip frequency flags; newly frequent itemsets seed candidate growth.
-  std::vector<Itemset> seeds = promotion_seeds;
-  bool any_demotion = false;
-  for (auto& [itemset, entry] : entries) {
-    const bool should_be_frequent = entry.count >= min_count;
-    if (should_be_frequent == entry.frequent) continue;
-    entry.frequent = should_be_frequent;
-    if (should_be_frequent) {
-      seeds.push_back(itemset);
-    } else {
-      any_demotion = true;
-    }
-  }
+  std::vector<ItemsetTrie::NodeId> seeds;
+  std::vector<ItemsetTrie::NodeId> demoted;
+  trie.ForEachTrackedNode([&](ItemsetTrie::NodeId node) {
+    const bool should_be_frequent = trie.entry(node).count >= min_count;
+    if (should_be_frequent == trie.entry(node).frequent) return;
+    trie.SetFrequent(node, should_be_frequent);
+    (should_be_frequent ? seeds : demoted).push_back(node);
+  });
   // Demotions invalidate border entries that now have an infrequent subset
   // (footnote 6: delete supersets of demoted itemsets from NB-).
-  if (any_demotion) PruneBorder();
+  if (!demoted.empty()) PruneBorder(demoted);
 
   // Update phase: grow new candidates from the promoted itemsets, count
   // them over the full selected history with the configured strategy, and
   // iterate while new frequent itemsets keep appearing (§3.1.1).
   while (!seeds.empty()) {
     ++last_stats_.update_iterations;
-    std::vector<Itemset> candidates = SeededCandidates(seeds);
+    const std::vector<Itemset> candidates = SeededCandidates(seeds);
     seeds.clear();
     if (candidates.empty()) break;
     last_stats_.new_candidates += candidates.size();
@@ -188,52 +196,48 @@ void BordersMaintainer::Refresh(const std::vector<Itemset>& promotion_seeds) {
                         &last_stats_.counting);
     for (size_t i = 0; i < candidates.size(); ++i) {
       const bool frequent = counts[i] >= min_count;
-      entries.emplace(candidates[i],
-                      ItemsetModel::Entry{counts[i], frequent});
-      if (frequent) seeds.push_back(std::move(candidates[i]));
+      const ItemsetTrie::NodeId node =
+          trie.Insert(candidates[i], ItemsetModel::Entry{counts[i], frequent});
+      if (frequent) seeds.push_back(node);
     }
   }
 }
 
 std::vector<Itemset> BordersMaintainer::SeededCandidates(
-    const std::vector<Itemset>& seeds) {
+    const std::vector<ItemsetTrie::NodeId>& seeds) const {
   // A (k+1)-itemset Y needs counting now iff it is untracked and all of its
   // k-subsets are frequent; untracked-but-eligible means at least one of
   // those subsets was *just* promoted (otherwise Y would already have been
   // generated). So every new candidate is some seed extended by one item,
   // with all other k-subsets frequent — a seeded version of the prefix
-  // join of [AMS+96] that the paper's update phase uses.
-  ItemsetSet produced;
+  // join of [AMS+96] that the paper's update phase uses. Every membership
+  // test is an allocation-free trie walk.
+  const ItemsetTrie& trie = model_.entries();
+  const std::vector<Item> frequent_items = FrequentItems(trie);
+  ItemsetTrie produced;
   std::vector<Itemset> result;
-  std::vector<Item> frequent_items;
-  for (const auto& [itemset, entry] : model_.entries()) {
-    if (entry.frequent && itemset.size() == 1) {
-      frequent_items.push_back(itemset[0]);
-    }
-  }
-  std::sort(frequent_items.begin(), frequent_items.end());
-
-  for (const Itemset& seed : seeds) {
-    for (Item extension : frequent_items) {
-      if (std::binary_search(seed.begin(), seed.end(), extension)) continue;
-      Itemset candidate = seed;
-      candidate.insert(
-          std::lower_bound(candidate.begin(), candidate.end(), extension),
-          extension);
-      if (model_.Contains(candidate) || produced.count(candidate) > 0) {
+  Itemset seed;
+  Itemset candidate;
+  size_t position = 0;
+  for (const ItemsetTrie::NodeId seed_node : seeds) {
+    trie.ItemsetOf(seed_node, &seed);
+    for (const Item extension : frequent_items) {
+      if (!ExtendBy(seed, extension, &candidate, &position)) continue;
+      if (trie.Find(candidate) != ItemsetTrie::kNoNode ||
+          produced.Find(candidate) != ItemsetTrie::kNoNode) {
         continue;
       }
-      // Prune: every |seed|-subset must be frequent (the seed itself is,
-      // by construction).
+      // Prune: every |seed|-subset must be frequent (the seed itself —
+      // the candidate minus the extension — is, by construction).
       bool keep = true;
       for (size_t drop = 0; drop < candidate.size() && keep; ++drop) {
-        Itemset subset = WithoutIndex(candidate, drop);
-        if (subset == seed) continue;
-        keep = IsFrequentEntry(subset);
+        if (drop == position) continue;
+        keep = trie.IsFrequentNode(
+            trie.FindWithout(candidate.data(), candidate.size(), drop));
       }
       if (!keep) continue;
-      produced.insert(candidate);
-      result.push_back(std::move(candidate));
+      produced.Insert(candidate);
+      result.push_back(candidate);
     }
   }
   return result;
@@ -382,19 +386,37 @@ Status BordersMaintainer::LoadState(persistence::Reader& r) {
   return r.status();
 }
 
-void BordersMaintainer::PruneBorder() {
-  auto& entries = *model_.mutable_entries();
-  std::vector<Itemset> to_delete;
-  for (const auto& [itemset, entry] : entries) {
-    if (entry.frequent || itemset.size() <= 1) continue;
-    for (size_t drop = 0; drop < itemset.size(); ++drop) {
-      if (!IsFrequentEntry(WithoutIndex(itemset, drop))) {
-        to_delete.push_back(itemset);
-        break;
-      }
+void BordersMaintainer::PruneBorder(
+    const std::vector<ItemsetTrie::NodeId>& demoted) {
+  // Before the flag refresh the model satisfied the NB- invariant, so a
+  // tracked itemset now has an infrequent (k-1)-subset only if that subset
+  // was just demoted: the victims are exactly the tracked one-item
+  // extensions d ∪ {x} of demoted itemsets d. Their extension x was a
+  // frequent item before the refresh — frequent now, or itself demoted.
+  ItemsetTrie& trie = *model_.mutable_entries();
+  std::vector<Item> items = FrequentItems(trie);
+  for (const ItemsetTrie::NodeId node : demoted) {
+    if (trie.parent(node) == ItemsetTrie::kRoot) {
+      items.push_back(trie.item(node));
     }
   }
-  for (const Itemset& itemset : to_delete) entries.erase(itemset);
+  std::sort(items.begin(), items.end());
+
+  std::vector<ItemsetTrie::NodeId> victims;
+  Itemset base;
+  Itemset superset;
+  size_t position = 0;
+  for (const ItemsetTrie::NodeId node : demoted) {
+    trie.ItemsetOf(node, &base);
+    for (const Item extension : items) {
+      if (!ExtendBy(base, extension, &superset, &position)) continue;
+      const ItemsetTrie::NodeId victim = trie.Find(superset);
+      if (victim != ItemsetTrie::kNoNode) victims.push_back(victim);
+    }
+  }
+  std::sort(victims.begin(), victims.end());
+  victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
+  for (const ItemsetTrie::NodeId victim : victims) trie.Erase(victim);
 }
 
 }  // namespace demon

@@ -161,20 +161,17 @@ class BordersMaintainer {
   /// Re-derives frequent flags, handles demotions/promotions, runs the
   /// candidate-expansion update loop, and prunes the border. The core of
   /// the detection/update machinery shared by add, delete and κ-change.
-  void Refresh(const std::vector<Itemset>& promotion_seeds);
+  void Refresh();
 
   /// Generates the not-yet-tracked candidates obtainable by joining the
-  /// given newly frequent seeds with the frequent sets of the same size.
-  std::vector<Itemset> SeededCandidates(const std::vector<Itemset>& seeds);
+  /// given newly frequent seed nodes with the frequent sets of the same
+  /// size.
+  std::vector<Itemset> SeededCandidates(
+      const std::vector<ItemsetTrie::NodeId>& seeds) const;
 
-  /// Drops border entries that have an infrequent proper subset (restores
-  /// the NB- invariant after demotions).
-  void PruneBorder();
-
-  bool IsFrequentEntry(const Itemset& itemset) const {
-    const auto it = model_.entries().find(itemset);
-    return it != model_.entries().end() && it->second.frequent;
-  }
+  /// Drops tracked itemsets that have an infrequent (k-1)-subset after
+  /// the given nodes were demoted (restores the NB- invariant).
+  void PruneBorder(const std::vector<ItemsetTrie::NodeId>& demoted);
 
   BordersOptions options_;
   ItemsetModel model_;

@@ -100,26 +100,46 @@ std::vector<uint64_t> CountingContext::PtScan(
     CountingStats* stats) {
   if (itemsets.empty()) return {};
   DEMON_TRACE_SPAN(call_span, telemetry_, "pt-scan", "counting");
-  [[maybe_unused]] const uint64_t call_span_id = DEMON_SPAN_ID(call_span);
+  candidates_.Clear();
+  std::vector<ItemsetTrie::NodeId> nodes;
+  nodes.reserve(itemsets.size());
+  for (const Itemset& itemset : itemsets) {
+    nodes.push_back(candidates_.Insert(itemset));
+  }
+  const std::vector<uint64_t>& node_counts =
+      CountOnTrie(candidates_, blocks, itemsets.size(),
+                  DEMON_SPAN_ID(call_span), stats);
+  std::vector<uint64_t> counts;
+  counts.reserve(nodes.size());
+  for (const ItemsetTrie::NodeId node : nodes) {
+    counts.push_back(node_counts[node]);
+  }
+  return counts;
+}
 
+const std::vector<uint64_t>& CountingContext::PtScanNodes(
+    const ItemsetTrie& trie,
+    const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+    CountingStats* stats) {
+  DEMON_TRACE_SPAN(call_span, telemetry_, "pt-scan", "counting");
+  return CountOnTrie(trie, blocks, trie.size(), DEMON_SPAN_ID(call_span),
+                     stats);
+}
+
+const std::vector<uint64_t>& CountingContext::CountOnTrie(
+    const ItemsetTrie& trie,
+    const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+    size_t num_itemsets, [[maybe_unused]] uint64_t call_span_id,
+    CountingStats* stats) {
   size_t total_transactions = 0;
   for (const auto& block : blocks) total_transactions += block->size();
   const size_t shards =
       ShardCountFor(total_transactions, kMinTransactionsPerShard);
   PrepareScratch(shards);
 
-  // Build the pointer tree once in shard 0's scratch, flatten it to the
-  // array image the transaction walk runs on, and give every shard its
-  // own copy (flat arrays, so the copy is a few memcpys — far cheaper
-  // than cloning the pointer tree's per-node child vectors).
-  PrefixTree& master = scratch_[0]->tree;
-  master.Clear();
-  std::vector<size_t> ids;
-  ids.reserve(itemsets.size());
-  for (const Itemset& itemset : itemsets) ids.push_back(master.Insert(itemset));
-  scratch_[0]->flat.BuildFrom(master);
-  for (size_t s = 1; s < shards; ++s) scratch_[s]->flat = scratch_[0]->flat;
-
+  // The trie is read-only during the walk, so every shard shares it and
+  // owns only a per-node count array.
+  const size_t num_nodes = trie.node_capacity();
   const bool collect_stats = CollectStats(stats);
   ParallelFor(shards > 1 ? pool_ : nullptr, shards, [&](size_t shard) {
     // The dispatching thread claims shards too, but workers have an empty
@@ -128,6 +148,8 @@ std::vector<uint64_t> CountingContext::PtScan(
                            "pt-scan shard " + std::to_string(shard),
                            "counting", call_span_id);
     Scratch& s = *scratch_[shard];
+    s.node_counts.assign(num_nodes, 0);
+    uint64_t* const counts = s.node_counts.data();
     const auto [begin, end] = ShardRange(total_transactions, shard, shards);
     uint64_t touched = 0;
     size_t offset = 0;
@@ -135,27 +157,22 @@ std::vector<uint64_t> CountingContext::PtScan(
       if (offset >= end) break;
       const auto& transactions = block->transactions();
       const size_t lo = begin > offset ? begin - offset : 0;
-      const size_t hi = std::min(transactions.size(),
-                                 end - offset);
-      if (collect_stats) {
-        for (size_t i = lo; i < hi; ++i) {
-          s.flat.CountTransaction(transactions[i]);
-          touched += transactions[i].size();
-        }
-      } else {
-        for (size_t i = lo; i < hi; ++i) {
-          s.flat.CountTransaction(transactions[i]);
-        }
+      const size_t hi = std::min(transactions.size(), end - offset);
+      for (size_t i = lo; i < hi; ++i) {
+        const std::vector<Item>& items = transactions[i].items();
+        trie.CountTransactionInto(items.data(), items.data() + items.size(),
+                                  counts);
+        if (collect_stats) touched += items.size();
       }
       offset += transactions.size();
     }
     s.touched = touched;
   });
 
-  std::vector<uint64_t> counts(itemsets.size(), 0);
-  for (size_t shard = 0; shard < shards; ++shard) {
-    const FlatPrefixTree& flat = scratch_[shard]->flat;
-    for (size_t i = 0; i < ids.size(); ++i) counts[i] += flat.CountOf(ids[i]);
+  std::vector<uint64_t>& counts = scratch_[0]->node_counts;
+  for (size_t shard = 1; shard < shards; ++shard) {
+    const std::vector<uint64_t>& partial = scratch_[shard]->node_counts;
+    for (size_t n = 0; n < num_nodes; ++n) counts[n] += partial[n];
   }
   MergeStats(shards, stats);
   if (slots_fetched_ != nullptr) {
@@ -165,7 +182,7 @@ std::vector<uint64_t> CountingContext::PtScan(
     }
     slots_fetched_->Add(touched);
     transactions_scanned_->Add(total_transactions);
-    itemsets_counted_->Add(itemsets.size());
+    itemsets_counted_->Add(num_itemsets);
   }
   return counts;
 }

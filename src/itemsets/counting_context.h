@@ -8,7 +8,7 @@
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "data/block.h"
-#include "itemsets/prefix_tree.h"
+#include "itemsets/itemset_trie.h"
 #include "itemsets/support_counting.h"
 #include "tidlist/tidlist.h"
 #include "tidlist/tidlist_store.h"
@@ -77,12 +77,24 @@ class CountingContext {
   }
   telemetry::TelemetryRegistry* telemetry() const { return telemetry_; }
 
-  /// PT-Scan: one pass over all transactions of `blocks` with per-shard
-  /// prefix-tree clones summed after the barrier. Stats accumulate into
-  /// `*stats` when non-null; the non-instrumented path pays nothing for
-  /// them.
+  /// PT-Scan: one pass over all transactions of `blocks` with the
+  /// itemsets in a scratch ItemsetTrie; shards walk the shared trie into
+  /// their own per-node count arrays, summed after the barrier. Stats
+  /// accumulate into `*stats` when non-null; the non-instrumented path
+  /// pays nothing for them.
   std::vector<uint64_t> PtScan(
       const std::vector<Itemset>& itemsets,
+      const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+      CountingStats* stats = nullptr);
+
+  /// PT-Scan directly on `trie`'s own nodes — BORDERS detection counts
+  /// the new block on the model this way, with no tree to build. The
+  /// result, indexed by NodeId (size trie.node_capacity()), holds every
+  /// tracked node's support over `blocks`; slots of untracked nodes are
+  /// meaningless. It is a buffer of this context, valid until its next
+  /// counting call.
+  const std::vector<uint64_t>& PtScanNodes(
+      const ItemsetTrie& trie,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
       CountingStats* stats = nullptr);
 
@@ -129,10 +141,8 @@ class CountingContext {
   /// Per-shard reusable state. unique_ptr entries keep addresses stable
   /// while workers use them.
   struct Scratch {
-    PrefixTree tree;
-    /// Flat-array image of the candidate tree PT-Scan's transaction walk
-    /// runs on (rebuilt once per call from shard 0's pointer tree).
-    FlatPrefixTree flat;
+    /// PT-Scan per-node counts (shard 0's doubles as the result).
+    std::vector<uint64_t> node_counts;
     std::vector<uint64_t> item_counts;
     IntersectionScratch intersect;
     std::vector<TidListView> views;
@@ -164,6 +174,13 @@ class CountingContext {
   /// Grows scratch_ to `shards` entries and resets their per-call stats.
   void PrepareScratch(size_t shards);
 
+  /// The sharded walk behind PtScan and PtScanNodes, under the caller's
+  /// `pt-scan` span; returns shard 0's summed node counts.
+  const std::vector<uint64_t>& CountOnTrie(
+      const ItemsetTrie& trie,
+      const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+      size_t num_itemsets, uint64_t call_span_id, CountingStats* stats);
+
   /// Folds every shard's stats into `*stats` (no-op when null).
   void MergeStats(size_t shards, CountingStats* stats) const;
 
@@ -186,6 +203,8 @@ class CountingContext {
 
   ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<Scratch>> scratch_;
+  /// Candidate trie of the itemset-list PtScan, reused across calls.
+  ItemsetTrie candidates_;
   /// Lazy per-item total-cardinality cache for EstimateEcutSlots (reused
   /// buffer; rebuilt each Ecut call).
   std::vector<uint64_t> item_totals_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "itemsets/prefix_tree.h"
+#include "itemsets/itemset_trie.h"
 
 namespace demon {
 
@@ -11,22 +11,24 @@ Result<std::vector<uint64_t>> PtScanCountDisk(
     const std::vector<Itemset>& itemsets,
     const std::vector<TransactionFileScanner*>& scanners,
     CountingStats* stats) {
-  PrefixTree tree;
-  std::vector<size_t> ids;
-  ids.reserve(itemsets.size());
-  for (const Itemset& itemset : itemsets) ids.push_back(tree.Insert(itemset));
+  ItemsetTrie trie;
+  std::vector<ItemsetTrie::NodeId> nodes;
+  nodes.reserve(itemsets.size());
+  for (const Itemset& itemset : itemsets) nodes.push_back(trie.Insert(itemset));
 
   for (TransactionFileScanner* scanner : scanners) {
     const uint64_t before = scanner->bytes_read();
     DEMON_RETURN_NOT_OK(scanner->Scan(
-        [&tree](const Transaction& t) { tree.CountTransaction(t); }));
+        [&trie](const Transaction& t) { trie.CountTransaction(t); }));
     if (stats != nullptr) {
       stats->slots_fetched += (scanner->bytes_read() - before) / sizeof(Item);
     }
   }
   std::vector<uint64_t> counts;
   counts.reserve(itemsets.size());
-  for (size_t id : ids) counts.push_back(tree.CountOf(id));
+  for (const ItemsetTrie::NodeId node : nodes) {
+    counts.push_back(trie.entry(node).count);
+  }
   return counts;
 }
 

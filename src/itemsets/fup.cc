@@ -6,25 +6,11 @@
 #include "common/telemetry.h"
 #include "itemsets/apriori.h"
 #include "itemsets/candidate_generation.h"
-#include "itemsets/prefix_tree.h"
+#include "itemsets/counting_context.h"
 
 namespace demon {
 
 namespace {
-
-// Counts `itemsets` over one block with a prefix tree.
-std::vector<uint64_t> CountOver(const std::vector<Itemset>& itemsets,
-                                const TransactionBlock& block) {
-  PrefixTree tree;
-  std::vector<size_t> ids;
-  ids.reserve(itemsets.size());
-  for (const Itemset& itemset : itemsets) ids.push_back(tree.Insert(itemset));
-  for (const Transaction& t : block.transactions()) tree.CountTransaction(t);
-  std::vector<uint64_t> counts;
-  counts.reserve(itemsets.size());
-  for (size_t id : ids) counts.push_back(tree.CountOf(id));
-  return counts;
-}
 
 uint64_t CeilCount(double minsup, uint64_t n) {
   const double exact = minsup * static_cast<double>(n);
@@ -49,8 +35,7 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
     blocks_.push_back(std::move(block));
     model_ = Apriori(blocks_, minsup_, num_items_);
     // FUP keeps only the frequent itemsets: drop the border Apriori built.
-    std::vector<Itemset> border = model_.NegativeBorder();
-    for (const Itemset& itemset : border) {
+    for (const Itemset& itemset : model_.NegativeBorder()) {
       model_.mutable_entries()->erase(itemset);
     }
     last_stats_.seconds = timer.Stop();
@@ -61,17 +46,24 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
   const uint64_t new_total = model_.num_transactions() + db.size();
   const uint64_t min_count = CeilCount(minsup_, new_total);
   const uint64_t min_count_db = CeilCount(minsup_, db.size());
-  auto& entries = *model_.mutable_entries();
+  const std::vector<std::shared_ptr<const TransactionBlock>> db_only = {block};
+  CountingContext counting;
 
   // Old frequent itemsets grouped by size, for the level-wise pass.
   std::vector<std::vector<Itemset>> old_by_size;
-  for (const auto& [itemset, entry] : entries) {
+  model_.entries().ForEachTracked([&](const Itemset& itemset,
+                                      ItemsetTrie::NodeId) {
     if (old_by_size.size() < itemset.size()) old_by_size.resize(itemset.size());
     old_by_size[itemset.size() - 1].push_back(itemset);
-  }
+  });
 
-  ItemsetMap<uint64_t> new_counts;   // the updated L under construction
-  std::vector<Itemset> level_prev;   // L_{k-1} of the new model
+  ItemsetModel updated(minsup_, num_items_);  // the new L under construction
+  updated.set_num_transactions(new_total);
+  ItemsetTrie& new_counts = *updated.mutable_entries();
+  auto add_winner = [&new_counts](const Itemset& itemset, uint64_t count) {
+    new_counts.Insert(itemset, ItemsetModel::Entry{count, true});
+  };
+  std::vector<Itemset> level_prev;  // L_{k-1} of the new model
 
   for (size_t k = 1;; ++k) {
     std::vector<Itemset> winners;
@@ -79,11 +71,11 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
     // (a) Re-validate old frequent k-itemsets with one scan of db.
     if (k <= old_by_size.size() && !old_by_size[k - 1].empty()) {
       const auto& old_level = old_by_size[k - 1];
-      const std::vector<uint64_t> db_counts = CountOver(old_level, db);
+      const std::vector<uint64_t> db_counts = counting.PtScan(old_level, db_only);
       for (size_t i = 0; i < old_level.size(); ++i) {
-        const uint64_t total = entries[old_level[i]].count + db_counts[i];
+        const uint64_t total = model_.CountOf(old_level[i]) + db_counts[i];
         if (total >= min_count) {
-          new_counts[old_level[i]] = total;
+          add_winner(old_level[i], total);
           winners.push_back(old_level[i]);
         }
       }
@@ -97,25 +89,24 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
       // were not frequent before.
       for (Item item = 0; item < num_items_; ++item) {
         const Itemset single{item};
-        if (new_counts.count(single) == 0 && entries.count(single) == 0) {
+        if (!updated.Contains(single) && !model_.Contains(single)) {
           candidates.push_back(single);
         }
       }
     } else {
-      auto is_frequent_new = [&new_counts](const Itemset& s) {
-        return new_counts.count(s) > 0;
+      auto is_frequent_new = [&updated](const Itemset& s) {
+        return updated.Contains(s);
       };
       for (Itemset& candidate :
            GenerateCandidates(level_prev, is_frequent_new)) {
-        if (new_counts.count(candidate) == 0 &&
-            entries.count(candidate) == 0) {
+        if (!updated.Contains(candidate) && !model_.Contains(candidate)) {
           candidates.push_back(std::move(candidate));
         }
       }
     }
 
     if (!candidates.empty()) {
-      const std::vector<uint64_t> db_counts = CountOver(candidates, db);
+      const std::vector<uint64_t> db_counts = counting.PtScan(candidates, db_only);
       std::vector<Itemset> survivors;
       std::vector<uint64_t> survivor_db_counts;
       for (size_t i = 0; i < candidates.size(); ++i) {
@@ -128,18 +119,11 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
         // The expensive step FUP is known for: scan the old database.
         ++last_stats_.old_db_scans;
         last_stats_.candidates_counted += survivors.size();
-        PrefixTree tree;
-        std::vector<size_t> ids;
-        for (const Itemset& s : survivors) ids.push_back(tree.Insert(s));
-        for (const auto& old_block : blocks_) {
-          for (const Transaction& t : old_block->transactions()) {
-            tree.CountTransaction(t);
-          }
-        }
+        const std::vector<uint64_t> old_counts = counting.PtScan(survivors, blocks_);
         for (size_t i = 0; i < survivors.size(); ++i) {
-          const uint64_t total = tree.CountOf(ids[i]) + survivor_db_counts[i];
+          const uint64_t total = old_counts[i] + survivor_db_counts[i];
           if (total >= min_count) {
-            new_counts[survivors[i]] = total;
+            add_winner(survivors[i], total);
             winners.push_back(survivors[i]);
           }
         }
@@ -152,12 +136,6 @@ void FupMaintainer::AddBlock(std::shared_ptr<const TransactionBlock> block) {
 
   // Install the new model.
   blocks_.push_back(std::move(block));
-  ItemsetModel updated(minsup_, num_items_);
-  updated.set_num_transactions(new_total);
-  for (auto& [itemset, count] : new_counts) {
-    updated.mutable_entries()->emplace(itemset,
-                                       ItemsetModel::Entry{count, true});
-  }
   model_ = std::move(updated);
   last_stats_.seconds = timer.Stop();
 }

@@ -19,8 +19,8 @@ namespace demon {
 /// Counting a transaction recursively hashes each remaining item at
 /// interior nodes and subset-checks the candidates at reached leaves.
 ///
-/// Interface-compatible with PrefixTree (Insert/CountTransaction/CountOf)
-/// so the two can be swapped and benchmarked against each other.
+/// Mirrors ItemsetTrie's Insert/CountTransaction so the two counting
+/// structures can be benchmarked against each other.
 class HashTree {
  public:
   explicit HashTree(size_t fanout = 8, size_t leaf_capacity = 16);

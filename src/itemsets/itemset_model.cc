@@ -6,12 +6,18 @@ namespace demon {
 
 std::vector<std::pair<Item, Item>> ItemsetModel::Frequent2ItemsetsBySupport()
     const {
+  // Frequent 2-itemsets sit under frequent (or interior) 1-itemset nodes.
   std::vector<std::pair<std::pair<Item, Item>, uint64_t>> pairs;
-  for (const auto& [itemset, entry] : entries_) {
-    if (entry.frequent && itemset.size() == 2) {
-      pairs.push_back({{itemset[0], itemset[1]}, entry.count});
+  entries_.ForEachChild(ItemsetTrie::kRoot, [&](ItemsetTrie::NodeId first) {
+    if (!entries_.IsFrequentNode(first) && !entries_.has_children(first)) {
+      return;
     }
-  }
+    entries_.ForEachChild(first, [&](ItemsetTrie::NodeId second) {
+      if (!entries_.IsFrequentNode(second)) return;
+      pairs.push_back({{entries_.item(first), entries_.item(second)},
+                       entries_.entry(second).count});
+    });
+  });
   std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
@@ -26,8 +32,12 @@ void ItemsetModel::AuditInto(audit::AuditResult* audit) const {
   constexpr char kModule[] = "borders";
   const uint64_t min_count = MinCount();
 
+  entries_.AuditInto(audit);
+
   size_t tracked_singletons = 0;
-  for (const auto& [itemset, entry] : entries_) {
+  entries_.ForEachTracked([&](const Itemset& itemset,
+                              ItemsetTrie::NodeId node) {
+    const Entry& entry = entries_.entry(node);
     const std::string name = demon::ToString(itemset);
 
     AUDIT_CHECK(audit, kModule, "borders/key-well-formed",
@@ -55,36 +65,40 @@ void ItemsetModel::AuditInto(audit::AuditResult* audit) const {
                              << " but frequent=" << entry.frequent,
                 "");
 
-    if (itemset.size() < 2) continue;
+    if (itemset.size() < 2) return;
     // Closure (frequent case) and the negative-border property (infrequent
     // case): either way every (k-1)-subset must be tracked and frequent,
     // with a count no smaller than this entry's (support monotonicity).
     for (size_t drop = 0; drop < itemset.size(); ++drop) {
-      const Itemset subset = WithoutIndex(itemset, drop);
-      const auto it = entries_.find(subset);
-      if (it == entries_.end() || !it->second.frequent) {
+      const ItemsetTrie::NodeId subset =
+          entries_.FindWithout(itemset.data(), itemset.size(), drop);
+      if (!entries_.IsFrequentNode(subset)) {
         AUDIT_FAIL(audit, kModule,
                    entry.frequent ? "borders/closure"
                                   : "borders/negative-border",
                    audit::Msg()
                        << (entry.frequent ? "frequent itemset "
                                           : "border itemset ")
-                       << name << " has subset " << demon::ToString(subset)
-                       << (it == entries_.end() ? " untracked"
-                                                : " tracked but infrequent"),
+                       << name << " has subset "
+                       << demon::ToString(WithoutIndex(itemset, drop))
+                       << (subset == ItemsetTrie::kNoNode
+                               ? " untracked"
+                               : " tracked but infrequent"),
                    audit::Msg() << "count=" << entry.count
                                 << " min_count=" << min_count);
         continue;
       }
+      const uint64_t subset_count = entries_.entry(subset).count;
       AUDIT_CHECK(audit, kModule, "borders/support-monotone",
-                  it->second.count >= entry.count,
-                  audit::Msg() << "subset " << demon::ToString(subset)
-                               << " has count " << it->second.count
+                  subset_count >= entry.count,
+                  audit::Msg() << "subset "
+                               << demon::ToString(WithoutIndex(itemset, drop))
+                               << " has count " << subset_count
                                << " < superset " << name << " count "
                                << entry.count,
                   "");
     }
-  }
+  });
 
   // A non-empty model must track the full 1-itemset layer — L1 ∪ NB1- is
   // the whole universe, which is what makes border-based detection work.

@@ -7,6 +7,7 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "itemsets/itemset.h"
+#include "itemsets/itemset_trie.h"
 
 namespace demon {
 
@@ -16,13 +17,11 @@ namespace demon {
 ///
 /// Storing the border with counts is what makes BORDERS-style detection
 /// possible: when a block arrives, only the supports of L ∪ NB- need to be
-/// refreshed to decide whether the model changed.
+/// refreshed to decide whether the model changed. The entries live in one
+/// count-carrying ItemsetTrie, which BORDERS detection counts on directly.
 class ItemsetModel {
  public:
-  struct Entry {
-    uint64_t count = 0;
-    bool frequent = false;
-  };
+  using Entry = ItemsetEntry;
 
   ItemsetModel() = default;
 
@@ -57,26 +56,27 @@ class ItemsetModel {
     return min_count == 0 ? 1 : min_count;
   }
 
-  const ItemsetMap<Entry>& entries() const { return entries_; }
-  ItemsetMap<Entry>* mutable_entries() { return &entries_; }
+  /// The tracked itemsets L ∪ NB- with their entries, in ItemsetLess
+  /// order.
+  const ItemsetTrie& entries() const { return entries_; }
+  ItemsetTrie* mutable_entries() { return &entries_; }
 
   /// True if the itemset is tracked and currently frequent.
   bool IsFrequent(const Itemset& itemset) const {
-    const auto it = entries_.find(itemset);
-    return it != entries_.end() && it->second.frequent;
+    return entries_.IsFrequentNode(entries_.Find(itemset));
   }
 
   /// True if the itemset is tracked (frequent or border).
   bool Contains(const Itemset& itemset) const {
-    return entries_.find(itemset) != entries_.end();
+    return entries_.Find(itemset) != ItemsetTrie::kNoNode;
   }
 
   /// Absolute count of a tracked itemset; 0 for untracked ones (untracked
   /// itemsets are guaranteed infrequent but their count is unknown — this
   /// accessor is for tracked sets; see Entry lookup for distinction).
   uint64_t CountOf(const Itemset& itemset) const {
-    const auto it = entries_.find(itemset);
-    return it == entries_.end() ? 0 : it->second.count;
+    const ItemsetTrie::NodeId node = entries_.Find(itemset);
+    return node == ItemsetTrie::kNoNode ? 0 : entries_.entry(node).count;
   }
 
   /// Fractional support of a tracked itemset.
@@ -86,29 +86,27 @@ class ItemsetModel {
            static_cast<double>(num_transactions_);
   }
 
-  /// All frequent itemsets (unordered).
+  /// All frequent itemsets, in ItemsetLess order.
   std::vector<Itemset> FrequentItemsets() const {
     std::vector<Itemset> out;
-    for (const auto& [itemset, entry] : entries_) {
-      if (entry.frequent) out.push_back(itemset);
-    }
+    entries_.ForEachFrequent(
+        [&out](const Itemset& itemset, ItemsetTrie::NodeId) {
+          out.push_back(itemset);
+        });
     return out;
   }
 
-  /// All negative-border itemsets (unordered).
+  /// All negative-border itemsets, in ItemsetLess order.
   std::vector<Itemset> NegativeBorder() const {
     std::vector<Itemset> out;
-    for (const auto& [itemset, entry] : entries_) {
-      if (!entry.frequent) out.push_back(itemset);
-    }
+    entries_.ForEachTracked(
+        [&](const Itemset& itemset, ItemsetTrie::NodeId node) {
+          if (!entries_.entry(node).frequent) out.push_back(itemset);
+        });
     return out;
   }
 
-  size_t NumFrequent() const {
-    size_t n = 0;
-    for (const auto& [itemset, entry] : entries_) n += entry.frequent ? 1 : 0;
-    return n;
-  }
+  size_t NumFrequent() const { return entries_.NumFrequent(); }
 
   size_t NumBorder() const { return entries_.size() - NumFrequent(); }
 
@@ -129,7 +127,7 @@ class ItemsetModel {
   double minsup_ = 0.01;
   size_t num_items_ = 0;
   uint64_t num_transactions_ = 0;
-  ItemsetMap<Entry> entries_;
+  ItemsetTrie entries_;
 };
 
 }  // namespace demon

@@ -1,6 +1,7 @@
 #include "itemsets/model_io.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -19,20 +20,15 @@ void SerializeItemsetModel(persistence::Writer& w, const ItemsetModel& model) {
   w.WriteU64(model.num_items());
   w.WriteU64(model.num_transactions());
   w.WriteU64(model.entries().size());
-  // Canonical order: the entry map is unordered, but checkpoints of equal
-  // models must be byte-equal for the restore-equivalence tests.
-  std::vector<const std::pair<const Itemset, ItemsetModel::Entry>*> sorted;
-  sorted.reserve(model.entries().size());
-  for (const auto& entry : model.entries()) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) {
-              return ItemsetLess()(a->first, b->first);
-            });
-  for (const auto* entry : sorted) {
-    w.WriteU32Vector(entry->first);
-    w.WriteU64(entry->second.count);
-    w.WriteBool(entry->second.frequent);
-  }
+  // Canonical order — checkpoints of equal models must be byte-equal for
+  // the restore-equivalence tests — is the trie's depth-first order, which
+  // is ItemsetLess order.
+  const ItemsetTrie& trie = model.entries();
+  trie.ForEachTracked([&](const Itemset& itemset, ItemsetTrie::NodeId node) {
+    w.WriteU32Vector(itemset);
+    w.WriteU64(trie.entry(node).count);
+    w.WriteBool(trie.entry(node).frequent);
+  });
 }
 
 void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model) {
@@ -47,13 +43,25 @@ void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model) {
   }
   ItemsetModel loaded(minsup, num_items);
   loaded.set_num_transactions(num_transactions);
+  // Entries arrive in ItemsetLess order, so each insert appends below an
+  // existing path.
+  ItemsetTrie& trie = *loaded.mutable_entries();
   for (size_t e = 0; e < num_entries; ++e) {
-    Itemset itemset = r.ReadU32Vector();
+    const Itemset itemset = r.ReadU32Vector();
     const uint64_t count = r.ReadU64();
     const bool frequent = r.ReadBool();
     if (!r.ok()) return;
-    loaded.mutable_entries()->emplace(std::move(itemset),
-                                      ItemsetModel::Entry{count, frequent});
+    // The trie only holds well-formed keys: non-empty, strictly
+    // increasing, inside the item universe.
+    const bool well_formed =
+        !itemset.empty() && itemset.back() < num_items &&
+        std::adjacent_find(itemset.begin(), itemset.end(),
+                           std::greater_equal<Item>()) == itemset.end();
+    if (!well_formed) {
+      r.Fail("model itemset is empty, unsorted or outside the universe");
+      return;
+    }
+    trie.Insert(itemset, ItemsetModel::Entry{count, frequent});
   }
   *model = std::move(loaded);
 }
@@ -86,10 +94,11 @@ uint64_t SerializedModelBytes(const ItemsetModel& model) {
   // lockstep with SerializeItemsetModel; model_io_test asserts predicted ==
   // written for empty, single-itemset, and large models.
   uint64_t bytes = persistence::FileHeader::kBytes + 4 * sizeof(uint64_t);
-  for (const auto& [itemset, entry] : model.entries()) {
+  model.entries().ForEachTracked([&](const Itemset& itemset,
+                                     ItemsetTrie::NodeId) {
     bytes += sizeof(uint64_t) + itemset.size() * sizeof(Item) +
              sizeof(uint64_t) + 1;
-  }
+  });
   return bytes;
 }
 

@@ -110,15 +110,7 @@ class Reader {
     return ReadPodVector<uint32_t>();
   }
 
-  std::vector<double> ReadDoubleVector() {
-    std::vector<double> out;
-    const size_t n = ReadLength(sizeof(double));
-    if (!ok()) return out;
-    out.resize(n);
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(double));
-    pos_ += n * sizeof(double);
-    return out;
-  }
+  std::vector<double> ReadDoubleVector() { return ReadPodVector<double>(); }
 
   /// Reads a u64 element count and validates that `count * element_bytes`
   /// fits in the remaining input (the resize guard for corrupt lengths).
@@ -180,7 +172,8 @@ class Reader {
   std::vector<T> ReadPodVector() {
     std::vector<T> out;
     const size_t n = ReadLength(sizeof(T));
-    if (!ok()) return out;
+    // An empty vector's data() may be null, which memcpy must never see.
+    if (!ok() || n == 0) return out;
     out.resize(n);
     std::memcpy(out.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);

@@ -71,13 +71,16 @@ Status DemonServer::Start() {
   }
   port_ = ntohs(bound.sin_port);
   listen_fd_ = fd;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The accept thread gets the fd by value: Stop() owns listen_fd_ and
+  // closes it only after this thread has been joined, so the number can
+  // never be reused under a pending accept().
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   return Status::OK();
 }
 
-void DemonServer::AcceptLoop() {
+void DemonServer::AcceptLoop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listener closed by Stop (or a fatal accept error)
@@ -234,12 +237,14 @@ Status DemonServer::Stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) {
     return Status::OK();  // already stopped
   }
+  // shutdown() wakes the blocked accept(); the fd is closed only once the
+  // accept thread is gone.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> connections;
   {
     MutexLock lock(mutex_);

@@ -65,7 +65,7 @@ class DemonServer {
   TenantHost* host() { return host_.get(); }
 
  private:
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void ServeConnection(int fd);
   /// Dispatches one decoded request. `*shutdown_after_reply` is set for
   /// kShutdown so the caller sends the reply *before* the server begins

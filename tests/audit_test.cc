@@ -211,7 +211,7 @@ TEST(ItemsetModelAuditTest, OverflowedCountIsReported) {
 TEST(ItemsetModelAuditTest, WrongFrequentFlagIsReported) {
   ItemsetModel model = MineSmallModel(13);
   auto& entries = *model.mutable_entries();
-  for (auto& [itemset, entry] : entries) {
+  for (auto&& [itemset, entry] : entries) {
     if (entry.frequent) {
       entry.frequent = false;  // count still >= MinCount(): inconsistent.
       break;

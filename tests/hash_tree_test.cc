@@ -4,7 +4,7 @@
 
 #include "common/random.h"
 #include "datagen/quest_generator.h"
-#include "itemsets/prefix_tree.h"
+#include "itemsets/itemset_trie.h"
 
 namespace demon {
 namespace {
@@ -100,9 +100,9 @@ TEST_P(HashTreeVsPrefixTreeTest, AgreesWithPrefixTreeOnQuestData) {
   const TransactionBlock block = gen.GenerateAll();
 
   Rng rng(62);
-  PrefixTree prefix_tree;
+  ItemsetTrie prefix_tree;
   HashTree hash_tree(GetParam().fanout, GetParam().leaf_capacity);
-  std::vector<std::pair<size_t, size_t>> ids;
+  std::vector<std::pair<ItemsetTrie::NodeId, size_t>> ids;
   for (int s = 0; s < 300; ++s) {
     Itemset itemset;
     const size_t size = 1 + rng.NextUint64(4);
@@ -120,7 +120,7 @@ TEST_P(HashTreeVsPrefixTreeTest, AgreesWithPrefixTreeOnQuestData) {
     hash_tree.CountTransaction(t);
   }
   for (const auto& [pid, hid] : ids) {
-    ASSERT_EQ(hash_tree.CountOf(hid), prefix_tree.CountOf(pid));
+    ASSERT_EQ(hash_tree.CountOf(hid), prefix_tree.entry(pid).count);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "datagen/quest_generator.h"
 #include "itemsets/apriori.h"
+#include "itemsets/borders.h"
 
 namespace demon {
 namespace {
@@ -155,6 +156,74 @@ TEST(ModelIoTest, CorruptFileFails) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+// Recorded with the hash-map model that preceded the trie: the trie must
+// reproduce its checkpoint bytes exactly.
+constexpr size_t kPinnedEntries = 1884;
+constexpr size_t kPinnedBytes = 53176;
+constexpr uint64_t kPinnedHash = 0x4437a66fa45d5a3eULL;
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Pins the on-disk model format: the BORDERS model of a fixed small Quest
+// stream — two alternating pattern tables, so blocks promote and demote
+// itemsets, plus one deletion — must serialize to exactly these bytes.
+TEST(ModelIoTest, BordersCheckpointBytesArePinned) {
+  QuestParams params;
+  params.num_items = 60;
+  params.num_patterns = 30;
+  params.avg_transaction_len = 8;
+  params.avg_pattern_len = 3;
+  params.seed = 71;
+  QuestGenerator first(params);
+  params.seed = 72;
+  QuestGenerator second(params);
+
+  BordersOptions options;
+  options.minsup = 0.03;
+  options.num_items = params.num_items;
+  BordersMaintainer maintainer(options);
+  for (uint32_t b = 0; b < 6; ++b) {
+    QuestGenerator& gen = b % 2 == 0 ? first : second;
+    auto block = std::make_shared<TransactionBlock>(
+        gen.NextBlock(400, static_cast<Tid>(b) * 400));
+    block->mutable_info()->id = b;
+    maintainer.AddBlock(std::move(block));
+  }
+  maintainer.RemoveOldestBlock();
+
+  persistence::Writer w;
+  SerializeItemsetModel(w, maintainer.model());
+  EXPECT_EQ(maintainer.model().entries().size(), kPinnedEntries);
+  EXPECT_EQ(w.buffer().size(), kPinnedBytes);
+  EXPECT_EQ(Fnv1a64(w.buffer()), kPinnedHash);
+}
+
+TEST(ModelIoTest, MalformedItemsetsAreRejected) {
+  for (const std::vector<uint32_t>& bad :
+       {std::vector<uint32_t>{}, std::vector<uint32_t>{3, 3},
+        std::vector<uint32_t>{5, 2}, std::vector<uint32_t>{1, 10}}) {
+    persistence::Writer w;
+    w.WriteDouble(0.1);
+    w.WriteU64(10);   // num_items
+    w.WriteU64(100);  // num_transactions
+    w.WriteU64(1);    // num_entries
+    w.WriteU32Vector(bad);
+    w.WriteU64(7);
+    w.WriteBool(false);
+    persistence::Reader r(w.buffer());
+    ItemsetModel model;
+    DeserializeItemsetModel(r, &model);
+    EXPECT_FALSE(r.ok()) << ToString(bad);
+  }
 }
 
 }  // namespace

@@ -81,6 +81,24 @@ TEST(SerializerTest, AllTypesRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+// Zero-length vectors round-trip without ever handing memcpy the null
+// data() of an empty vector (the UBSan job runs this).
+TEST(SerializerTest, EmptyVectorsRoundTrip) {
+  Writer w;
+  w.WriteU32Vector({});
+  w.WriteDoubleVector({});
+  w.WriteString("");
+  w.WriteU32Vector({9});
+
+  Reader r(w.buffer());
+  EXPECT_TRUE(r.ReadU32Vector().empty());
+  EXPECT_TRUE(r.ReadDoubleVector().empty());
+  EXPECT_EQ(r.ReadString(), "");
+  EXPECT_EQ(r.ReadU32Vector(), (std::vector<uint32_t>{9}));
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
+}
+
 TEST(SerializerTest, TruncationLatchesDataLoss) {
   Writer w;
   w.WriteU64(1);

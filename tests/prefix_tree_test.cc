@@ -1,72 +1,95 @@
-#include "itemsets/prefix_tree.h"
-
 #include <gtest/gtest.h>
+
+#include <map>
+#include <utility>
 
 #include "common/random.h"
 #include "datagen/quest_generator.h"
+#include "itemsets/itemset_trie.h"
 
 namespace demon {
 namespace {
 
+using NodeId = ItemsetTrie::NodeId;
+
+Itemset RandomItemset(Rng* rng, size_t max_size, size_t num_items) {
+  Itemset itemset;
+  const size_t size = 1 + rng->NextUint64(max_size);
+  while (itemset.size() < size) {
+    const Item item = static_cast<Item>(rng->NextUint64(num_items));
+    const auto at = std::lower_bound(itemset.begin(), itemset.end(), item);
+    if (at == itemset.end() || *at != item) itemset.insert(at, item);
+  }
+  return itemset;
+}
+
+uint64_t BruteForceCount(const Itemset& itemset, const TransactionBlock& block) {
+  uint64_t count = 0;
+  for (const Transaction& t : block.transactions()) {
+    count += t.ContainsAll(itemset.begin(), itemset.end()) ? 1 : 0;
+  }
+  return count;
+}
+
 TEST(PrefixTreeTest, SingleItemsetCounting) {
-  PrefixTree tree;
-  const size_t id = tree.Insert({1, 3});
-  tree.CountTransaction(Transaction({1, 2, 3}));
-  tree.CountTransaction(Transaction({1, 2}));
-  tree.CountTransaction(Transaction({3}));
-  tree.CountTransaction(Transaction({1, 3}));
-  EXPECT_EQ(tree.CountOf(id), 2u);
+  ItemsetTrie trie;
+  const NodeId node = trie.Insert({1, 3});
+  trie.CountTransaction(Transaction({1, 2, 3}));
+  trie.CountTransaction(Transaction({1, 2}));
+  trie.CountTransaction(Transaction({3}));
+  trie.CountTransaction(Transaction({1, 3}));
+  EXPECT_EQ(trie.entry(node).count, 2u);
 }
 
 TEST(PrefixTreeTest, ReinsertReturnsSameId) {
-  PrefixTree tree;
-  const size_t a = tree.Insert({5, 9});
-  const size_t b = tree.Insert({5, 9});
+  ItemsetTrie trie;
+  const NodeId a = trie.Insert({5, 9});
+  const NodeId b = trie.Insert({5, 9});
   EXPECT_EQ(a, b);
-  EXPECT_EQ(tree.NumItemsets(), 1u);
+  EXPECT_EQ(trie.size(), 1u);
 }
 
 TEST(PrefixTreeTest, MixedSizesAndSharedPrefixes) {
-  PrefixTree tree;
-  const size_t id1 = tree.Insert({1});
-  const size_t id12 = tree.Insert({1, 2});
-  const size_t id123 = tree.Insert({1, 2, 3});
-  const size_t id13 = tree.Insert({1, 3});
-  tree.CountTransaction(Transaction({1, 2, 3}));
-  EXPECT_EQ(tree.CountOf(id1), 1u);
-  EXPECT_EQ(tree.CountOf(id12), 1u);
-  EXPECT_EQ(tree.CountOf(id123), 1u);
-  EXPECT_EQ(tree.CountOf(id13), 1u);
-  tree.CountTransaction(Transaction({1, 3, 7}));
-  EXPECT_EQ(tree.CountOf(id1), 2u);
-  EXPECT_EQ(tree.CountOf(id12), 1u);
-  EXPECT_EQ(tree.CountOf(id13), 2u);
+  ItemsetTrie trie;
+  const NodeId n1 = trie.Insert({1});
+  const NodeId n12 = trie.Insert({1, 2});
+  const NodeId n123 = trie.Insert({1, 2, 3});
+  const NodeId n13 = trie.Insert({1, 3});
+  trie.CountTransaction(Transaction({1, 2, 3}));
+  EXPECT_EQ(trie.entry(n1).count, 1u);
+  EXPECT_EQ(trie.entry(n12).count, 1u);
+  EXPECT_EQ(trie.entry(n123).count, 1u);
+  EXPECT_EQ(trie.entry(n13).count, 1u);
+  trie.CountTransaction(Transaction({1, 3, 7}));
+  EXPECT_EQ(trie.entry(n1).count, 2u);
+  EXPECT_EQ(trie.entry(n12).count, 1u);
+  EXPECT_EQ(trie.entry(n13).count, 2u);
 }
 
 TEST(PrefixTreeTest, WeightedCounting) {
-  PrefixTree tree;
-  const size_t id = tree.Insert({2});
-  tree.CountTransaction(Transaction({2, 4}), 5);
-  EXPECT_EQ(tree.CountOf(id), 5u);
+  ItemsetTrie trie;
+  const NodeId node = trie.Insert({2});
+  trie.CountTransaction(Transaction({2, 4}), 5);
+  EXPECT_EQ(trie.entry(node).count, 5u);
 }
 
 TEST(PrefixTreeTest, ResetCounts) {
-  PrefixTree tree;
-  const size_t id = tree.Insert({1, 2});
-  tree.CountTransaction(Transaction({1, 2}));
-  EXPECT_EQ(tree.CountOf(id), 1u);
-  tree.ResetCounts();
-  EXPECT_EQ(tree.CountOf(id), 0u);
+  ItemsetTrie trie;
+  const NodeId node = trie.Insert({1, 2});
+  trie.CountTransaction(Transaction({1, 2}));
+  EXPECT_EQ(trie.entry(node).count, 1u);
+  trie.ResetCounts();
+  EXPECT_EQ(trie.entry(node).count, 0u);
 }
 
 TEST(PrefixTreeTest, EmptyTransactionCountsNothing) {
-  PrefixTree tree;
-  const size_t id = tree.Insert({1});
-  tree.CountTransaction(Transaction({}));
-  EXPECT_EQ(tree.CountOf(id), 0u);
+  ItemsetTrie trie;
+  const NodeId node = trie.Insert({1});
+  trie.CountTransaction(Transaction({}));
+  EXPECT_EQ(trie.entry(node).count, 0u);
 }
 
-// Property check: counts from the tree match brute-force subset tests on
+// Property check: counts from the trie match brute-force subset tests on
 // random itemsets over realistic Quest data.
 TEST(PrefixTreeTest, RandomizedAgainstBruteForce) {
   QuestParams params;
@@ -80,101 +103,76 @@ TEST(PrefixTreeTest, RandomizedAgainstBruteForce) {
   Rng rng(7);
   std::vector<Itemset> itemsets;
   for (int i = 0; i < 200; ++i) {
-    Itemset itemset;
-    const size_t size = 1 + rng.NextUint64(4);
-    while (itemset.size() < size) {
-      const Item item = static_cast<Item>(rng.NextUint64(params.num_items));
-      if (!std::binary_search(itemset.begin(), itemset.end(), item)) {
-        itemset.insert(
-            std::lower_bound(itemset.begin(), itemset.end(), item), item);
-      }
-    }
-    itemsets.push_back(std::move(itemset));
+    itemsets.push_back(RandomItemset(&rng, 4, params.num_items));
   }
 
-  PrefixTree tree;
-  std::vector<size_t> ids;
-  for (const Itemset& itemset : itemsets) ids.push_back(tree.Insert(itemset));
-  for (const Transaction& t : block.transactions()) tree.CountTransaction(t);
+  ItemsetTrie trie;
+  std::vector<NodeId> nodes;
+  for (const Itemset& itemset : itemsets) nodes.push_back(trie.Insert(itemset));
+  for (const Transaction& t : block.transactions()) trie.CountTransaction(t);
 
   for (size_t s = 0; s < itemsets.size(); ++s) {
-    uint64_t expected = 0;
-    for (const Transaction& t : block.transactions()) {
-      expected += t.ContainsAll(itemsets[s].begin(), itemsets[s].end()) ? 1 : 0;
-    }
-    ASSERT_EQ(tree.CountOf(ids[s]), expected) << ToString(itemsets[s]);
+    ASSERT_EQ(trie.entry(nodes[s]).count, BruteForceCount(itemsets[s], block))
+        << ToString(itemsets[s]);
   }
 }
 
-TEST(FlatPrefixTreeTest, EmptyTreeCountsNothing) {
-  PrefixTree tree;
-  FlatPrefixTree flat;
-  flat.BuildFrom(tree);
-  EXPECT_EQ(flat.NumItemsets(), 0u);
-  flat.CountTransaction(Transaction({1, 2, 3}));
+TEST(ItemsetTrieTest, EmptyTrieCountsNothing) {
+  ItemsetTrie trie;
+  EXPECT_TRUE(trie.empty());
+  std::vector<uint64_t> counts(trie.node_capacity(), 0);
+  const Transaction t({1, 2, 3});
+  trie.CountTransactionInto(t.items().data(),
+                            t.items().data() + t.items().size(),
+                            counts.data());
+  EXPECT_TRUE(std::as_const(trie).begin() == std::as_const(trie).end());
 }
 
-TEST(FlatPrefixTreeTest, MatchesPointerTreeCounts) {
-  PrefixTree tree;
-  const size_t a = tree.Insert({1, 3});
-  const size_t b = tree.Insert({1});
-  const size_t c = tree.Insert({2, 3, 5});
-  const size_t d = tree.Insert({5});
-  FlatPrefixTree flat;
-  flat.BuildFrom(tree);
-  ASSERT_EQ(flat.NumItemsets(), tree.NumItemsets());
-
+// The per-node count-array walk (parallel PT-Scan's shard kernel) agrees
+// with the count-carrying walk on every tracked node.
+TEST(ItemsetTrieTest, CountIntoMatchesEntryCounts) {
+  ItemsetTrie trie;
+  const std::vector<NodeId> nodes = {trie.Insert({1, 3}), trie.Insert({1}),
+                                     trie.Insert({2, 3, 5}), trie.Insert({5})};
   const std::vector<Transaction> transactions = {
       Transaction({1, 2, 3}), Transaction({1, 2}),   Transaction({3}),
       Transaction({1, 3}),    Transaction({2, 3, 5}), Transaction({}),
       Transaction({5}),       Transaction({1, 2, 3, 4, 5})};
+  std::vector<uint64_t> counts(trie.node_capacity(), 0);
   for (const Transaction& t : transactions) {
-    tree.CountTransaction(t);
-    flat.CountTransaction(t);
+    trie.CountTransaction(t);
+    trie.CountTransactionInto(t.items().data(),
+                              t.items().data() + t.items().size(),
+                              counts.data());
   }
-  for (const size_t id : {a, b, c, d}) {
-    EXPECT_EQ(flat.CountOf(id), tree.CountOf(id)) << "id " << id;
+  for (const NodeId node : nodes) {
+    EXPECT_EQ(counts[node], trie.entry(node).count) << "node " << node;
   }
+  EXPECT_EQ(trie.entry(nodes[0]).count, 3u);  // {1, 3}
 }
 
-TEST(FlatPrefixTreeTest, WeightsAndResetMatchPointerTree) {
-  PrefixTree tree;
-  const size_t id = tree.Insert({2, 4});
-  FlatPrefixTree flat;
-  flat.BuildFrom(tree);
-  tree.CountTransaction(Transaction({2, 3, 4}), 5);
-  flat.CountTransaction(Transaction({2, 3, 4}), 5);
-  EXPECT_EQ(flat.CountOf(id), tree.CountOf(id));
-  EXPECT_EQ(flat.CountOf(id), 5u);
-  flat.ResetCounts();
-  EXPECT_EQ(flat.CountOf(id), 0u);
+// Clear() keeps capacity but leaves a trie indistinguishable from a fresh
+// one — the reuse pattern of CountingContext's candidate trie.
+TEST(ItemsetTrieTest, ClearResetsStateAndTracksNewItemsets) {
+  ItemsetTrie trie;
+  const NodeId first = trie.Insert({1, 2}, {3, true});
+  trie.CountTransaction(Transaction({1, 2}));
+  EXPECT_EQ(trie.entry(first).count, 4u);
+  trie.Clear();
+  EXPECT_TRUE(trie.empty());
+  EXPECT_EQ(trie.NumFrequent(), 0u);
+  EXPECT_EQ(trie.Find({1, 2}), ItemsetTrie::kNoNode);
+
+  const NodeId a = trie.Insert({7});
+  const NodeId b = trie.Insert({7, 9});
+  ASSERT_EQ(trie.size(), 2u);
+  EXPECT_EQ(trie.entry(a).count, 0u);
+  trie.CountTransaction(Transaction({7, 8, 9}));
+  EXPECT_EQ(trie.entry(a).count, 1u);
+  EXPECT_EQ(trie.entry(b).count, 1u);
 }
 
-// Build-from is repeatable on a reused FlatPrefixTree and always starts
-// from zeroed counts — the per-shard reuse pattern of CountingContext.
-TEST(FlatPrefixTreeTest, RebuildResetsStateAndTracksNewTree) {
-  PrefixTree first;
-  const size_t fa = first.Insert({1, 2});
-  FlatPrefixTree flat;
-  flat.BuildFrom(first);
-  flat.CountTransaction(Transaction({1, 2}));
-  EXPECT_EQ(flat.CountOf(fa), 1u);
-
-  PrefixTree second;
-  const size_t sa = second.Insert({7});
-  const size_t sb = second.Insert({7, 9});
-  flat.BuildFrom(second);
-  ASSERT_EQ(flat.NumItemsets(), 2u);
-  EXPECT_EQ(flat.CountOf(sa), 0u);
-  flat.CountTransaction(Transaction({7, 8, 9}));
-  EXPECT_EQ(flat.CountOf(sa), 1u);
-  EXPECT_EQ(flat.CountOf(sb), 1u);
-}
-
-// Differential fuzz: the flat walk must agree with the pointer walk on
-// every itemset for a generated workload (bit-identical counts are the
-// PT-Scan correctness invariant).
-TEST(FlatPrefixTreeTest, RandomizedMatchesPointerTree) {
+TEST(ItemsetTrieTest, RandomizedCountIntoMatchesBruteForce) {
   QuestParams params;
   params.num_transactions = 1500;
   params.num_items = 60;
@@ -184,29 +182,171 @@ TEST(FlatPrefixTreeTest, RandomizedMatchesPointerTree) {
   const TransactionBlock block = gen.GenerateAll();
 
   Rng rng(13);
-  PrefixTree tree;
-  std::vector<size_t> ids;
+  ItemsetTrie trie;
+  std::vector<std::pair<Itemset, NodeId>> tracked;
   for (int i = 0; i < 300; ++i) {
-    Itemset itemset;
-    const size_t size = 1 + rng.NextUint64(5);
-    while (itemset.size() < size) {
-      const Item item = static_cast<Item>(rng.NextUint64(params.num_items));
-      if (!std::binary_search(itemset.begin(), itemset.end(), item)) {
-        itemset.insert(
-            std::lower_bound(itemset.begin(), itemset.end(), item), item);
+    Itemset itemset = RandomItemset(&rng, 5, params.num_items);
+    const NodeId node = trie.Insert(itemset);
+    tracked.emplace_back(std::move(itemset), node);
+  }
+  std::vector<uint64_t> counts(trie.node_capacity(), 0);
+  for (const Transaction& t : block.transactions()) {
+    trie.CountTransactionInto(t.items().data(),
+                              t.items().data() + t.items().size(),
+                              counts.data());
+  }
+  for (const auto& [itemset, node] : tracked) {
+    ASSERT_EQ(counts[node], BruteForceCount(itemset, block))
+        << ToString(itemset);
+  }
+}
+
+TEST(ItemsetTrieTest, InteriorNodesAreUntrackedAndFreedWithTheirLastChild) {
+  ItemsetTrie trie;
+  trie.Insert({1, 2, 3});
+  EXPECT_EQ(trie.size(), 1u);
+  EXPECT_EQ(trie.Find({1}), ItemsetTrie::kNoNode);
+  EXPECT_EQ(trie.Find({1, 2}), ItemsetTrie::kNoNode);
+  EXPECT_NE(trie.Find({1, 2, 3}), ItemsetTrie::kNoNode);
+  EXPECT_EQ(trie.erase({1, 2}), 0u);
+  EXPECT_EQ(trie.erase({1, 2, 3}), 1u);
+  EXPECT_TRUE(trie.empty());
+  EXPECT_TRUE(std::as_const(trie).begin() == std::as_const(trie).end());
+  audit::AuditResult audit;
+  trie.AuditInto(&audit);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
+TEST(ItemsetTrieTest, FindWithoutLooksUpSubsets) {
+  ItemsetTrie trie;
+  const NodeId n13 = trie.Insert({1, 3});
+  const NodeId n3 = trie.Insert({3});
+  const Itemset abc = {1, 2, 3};
+  EXPECT_EQ(trie.FindWithout(abc.data(), abc.size(), 1), n13);
+  EXPECT_EQ(trie.FindWithout(abc.data(), abc.size(), 0),
+            ItemsetTrie::kNoNode);  // {2, 3} untracked
+  const Itemset pair = {2, 3};
+  EXPECT_EQ(trie.FindWithout(pair.data(), pair.size(), 0), n3);
+}
+
+// Frequent-only traversal reaches frequent itemsets below untracked or
+// infrequent interior nodes, and yields ItemsetLess order.
+TEST(ItemsetTrieTest, ForEachFrequentFindsEveryFrequentItemset) {
+  ItemsetTrie trie;
+  trie.Insert({0, 1}, {30, true});  // under an untracked {0}
+  trie.Insert({2}, {5, false});
+  trie.Insert({2, 3}, {9, true});   // under an infrequent {2}
+  trie.Insert({2, 4}, {1, false});
+  trie.Insert({5}, {40, true});
+  std::vector<Itemset> frequent;
+  trie.ForEachFrequent(
+      [&](const Itemset& itemset, NodeId) { frequent.push_back(itemset); });
+  EXPECT_EQ(frequent, (std::vector<Itemset>{{0, 1}, {2, 3}, {5}}));
+  EXPECT_EQ(trie.NumFrequent(), 3u);
+}
+
+// Differential test against an ordered std::map under interleaved insert,
+// erase, find, at and iteration: same contents, ItemsetLess iteration
+// order, exact running counts, and a clean structural audit throughout.
+TEST(ItemsetTrieTest, DifferentialAgainstStdMap) {
+  Rng rng(2024);
+  ItemsetTrie trie;
+  std::map<Itemset, ItemsetEntry, ItemsetLess> reference;
+  for (int step = 0; step < 6000; ++step) {
+    const Itemset itemset = RandomItemset(&rng, 4, 12);
+    const uint64_t op = rng.NextUint64(10);
+    if (op < 4) {
+      const ItemsetEntry entry{rng.NextUint64(100), rng.NextUint64(2) == 0};
+      const bool inserted = trie.emplace(itemset, entry).second;
+      EXPECT_EQ(inserted, reference.emplace(itemset, entry).second);
+    } else if (op < 7) {
+      EXPECT_EQ(trie.erase(itemset), reference.erase(itemset));
+    } else if (op < 8) {
+      const NodeId node = trie.Find(itemset);
+      const auto it = reference.find(itemset);
+      ASSERT_EQ(node != ItemsetTrie::kNoNode, it != reference.end());
+      if (node != ItemsetTrie::kNoNode) {
+        const bool frequent = !trie.entry(node).frequent;
+        trie.SetFrequent(node, frequent);
+        it->second.frequent = frequent;
+        trie.mutable_count(node) += 1;
+        it->second.count += 1;
+      }
+    } else {
+      const auto it = reference.find(itemset);
+      const auto found = std::as_const(trie).find(itemset);
+      ASSERT_EQ(found != std::as_const(trie).end(), it != reference.end());
+      if (it != reference.end()) {
+        EXPECT_EQ(found->first, itemset);
+        EXPECT_EQ(std::as_const(trie).at(itemset).count, it->second.count);
       }
     }
-    ids.push_back(tree.Insert(itemset));
+    if (step % 500 != 0) continue;
+    size_t frequent = 0;
+    for (const auto& [key, entry] : reference) frequent += entry.frequent;
+    ASSERT_EQ(trie.size(), reference.size());
+    ASSERT_EQ(trie.NumFrequent(), frequent);
+    auto want = reference.begin();
+    for (const auto& [key, entry] : std::as_const(trie)) {
+      ASSERT_NE(want, reference.end());
+      ASSERT_EQ(key, want->first);
+      ASSERT_EQ(entry.count, want->second.count);
+      ASSERT_EQ(entry.frequent, want->second.frequent);
+      ++want;
+    }
+    ASSERT_EQ(want, reference.end());
+    audit::AuditResult audit;
+    trie.AuditInto(&audit);
+    ASSERT_TRUE(audit.ok()) << audit.ToString();
   }
-  FlatPrefixTree flat;
-  flat.BuildFrom(tree);
-  for (const Transaction& t : block.transactions()) {
-    tree.CountTransaction(t);
-    flat.CountTransaction(t);
+}
+
+// Mutable facade access hands out Entry references; NumFrequent() must
+// stay right when a flag is flipped through one.
+TEST(ItemsetTrieTest, MutableFacadeKeepsNumFrequentExact) {
+  ItemsetTrie trie;
+  trie.emplace({1}, {5, true});
+  trie.emplace({2}, {1, false});
+  EXPECT_EQ(trie.NumFrequent(), 1u);
+  trie.at({2}).frequent = true;
+  EXPECT_EQ(trie.NumFrequent(), 2u);
+  for (auto&& [itemset, entry] : trie) entry.frequent = false;
+  EXPECT_EQ(trie.NumFrequent(), 0u);
+  trie[{3}].frequent = true;
+  EXPECT_EQ(trie.NumFrequent(), 1u);
+}
+
+// Slots of erased nodes and their edge blocks are reused: churning the
+// same itemsets in and out never grows the arena.
+TEST(ItemsetTrieTest, ArenaDoesNotGrowUnderInsertEraseChurn) {
+  Rng rng(99);
+  ItemsetTrie trie;
+  for (Item item = 0; item < 50; ++item) trie.Insert({item}, {10, true});
+  std::vector<Itemset> churn;
+  for (int i = 0; i < 400; ++i) churn.push_back(RandomItemset(&rng, 4, 50));
+  std::sort(churn.begin(), churn.end(), ItemsetLess());
+  churn.erase(std::unique(churn.begin(), churn.end()), churn.end());
+  churn.erase(std::remove_if(churn.begin(), churn.end(),
+                             [](const Itemset& s) { return s.size() == 1; }),
+              churn.end());
+
+  size_t arena_after_first = 0;
+  size_t nodes_after_first = 0;
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    for (const Itemset& itemset : churn) trie.Insert(itemset);
+    ASSERT_EQ(trie.size(), 50 + churn.size());
+    for (const Itemset& itemset : churn) trie.Erase(trie.Find(itemset));
+    ASSERT_EQ(trie.size(), 50u);
+    if (cycle == 0) {
+      arena_after_first = trie.ArenaBytes();
+      nodes_after_first = trie.node_capacity();
+    }
   }
-  for (const size_t id : ids) {
-    ASSERT_EQ(flat.CountOf(id), tree.CountOf(id)) << "id " << id;
-  }
+  EXPECT_EQ(trie.ArenaBytes(), arena_after_first);
+  EXPECT_EQ(trie.node_capacity(), nodes_after_first);
+  audit::AuditResult audit;
+  trie.AuditInto(&audit);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 }  // namespace

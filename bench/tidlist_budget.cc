@@ -174,8 +174,8 @@ void Run(const std::string& json_out) {
       params.ToString() + ", minsup 0.008, " + std::to_string(sample.size()) +
       " border itemsets)");
   std::printf("footprint %zu bytes, largest block %zu bytes, census "
-              "raw/delta/bitmap = %zu/%zu/%zu\n",
-              footprint, largest, census[0], census[1], census[2]);
+              "raw/delta = %zu/%zu\n",
+              footprint, largest, census[0], census[1]);
   std::printf("%-22s %12s %8s %10s %10s %12s %9s %9s %7s\n", "config",
               "budget", "threads", "ecut(ms)", "ecut+(ms)", "peak", "pageins",
               "evicts", "spills");
@@ -230,10 +230,10 @@ void Run(const std::string& json_out) {
       "\"num_blocks\": %zu, \"transactions_per_block\": %zu, "
       "\"num_items\": %zu, \"itemsets_counted\": %zu, "
       "\"total_payload_bytes\": %zu, \"largest_block_payload_bytes\": %zu, "
-      "\"encoding_census\": {\"raw\": %zu, \"delta\": %zu, \"bitmap\": %zu}"
+      "\"encoding_census\": {\"raw\": %zu, \"delta\": %zu}"
       "},\n  \"benchmarks\": [\n",
       kNumBlocks, per_block, params.num_items, sample.size(), footprint,
-      largest, census[0], census[1], census[2]);
+      largest, census[0], census[1]);
   const std::string json = std::string(context) + RowsJson(rows) + "  ]\n}\n";
   if (bench::WriteFileContents(json_out, json)) {
     std::printf("wrote %s\n", json_out.c_str());

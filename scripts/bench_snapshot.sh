@@ -10,12 +10,11 @@
 # debug-build snapshot.
 #
 # Runs bench/fig2_counting (google-benchmark JSON, includes the
-# thread-count sweep) into BENCH_counting.json, bench/intersect_kernels
-# (scalar vs dispatched intersection kernels) into BENCH_intersect.json,
-# bench/engine_throughput (its own --benchmark_format=json mode) into
-# BENCH_engine.json, bench/tidlist_budget (the TID-list memory-budget
-# sweep) into BENCH_tidlist.json, and bench/server_throughput (the
-# demon_serve socket-ingestion sweep) into BENCH_server.json. Honors
+# thread-count sweep) into BENCH_counting.json, bench/engine_throughput
+# (its own --benchmark_format=json mode) into BENCH_engine.json,
+# bench/tidlist_budget (the TID-list memory-budget sweep and its raw/delta
+# encoding census) into BENCH_tidlist.json, and bench/server_throughput
+# (the demon_serve socket-ingestion sweep) into BENCH_server.json. Honors
 # DEMON_SCALE (default 0.1); set DEMON_SCALE=1 for paper-scale runs.
 #
 # Every BENCH_*.json gets its "context" block stamped with the repo's
@@ -73,12 +72,6 @@ echo "== fig2_counting -> BENCH_counting.json (DEMON_SCALE=${DEMON_SCALE:-0.1})"
   --benchmark_out_format=json \
   --trace_out="$repo_root/BENCH_counting_trace.json" >/dev/null
 
-echo "== intersect_kernels -> BENCH_intersect.json"
-"$build_dir/bench/intersect_kernels" \
-  --benchmark_format=json \
-  --benchmark_out="$repo_root/BENCH_intersect.json" \
-  --benchmark_out_format=json >/dev/null
-
 echo "== engine_throughput -> BENCH_engine.json + telemetry artifacts"
 "$build_dir/bench/engine_throughput" --benchmark_format=json \
   --trace_out="$repo_root/BENCH_engine_trace.json" \
@@ -124,7 +117,6 @@ EOF
 
 echo "wrote $repo_root/BENCH_counting.json"
 echo "wrote $repo_root/BENCH_counting_trace.json"
-echo "wrote $repo_root/BENCH_intersect.json"
 echo "wrote $repo_root/BENCH_engine.json"
 echo "wrote $repo_root/BENCH_engine_trace.json"
 echo "wrote $repo_root/BENCH_engine_timeline.jsonl"

@@ -27,11 +27,6 @@ Checks enforced (all are CI-blocking):
                  lease + view API (`Lease`, `ItemView`, `PairView`) or the
                  decoded copies (`MaterializeItemList` / `MaterializePairList`)
                  so paging and encoding stay invisible to them.
-  raw-intrinsic  x86 SIMD intrinsics (`_mm_*` / `_mm256_*` / `_mm512_*`)
-                 outside src/tidlist/simd*. All vector code lives behind
-                 the tidlist/simd.h dispatch table so scalar fallbacks,
-                 CPUID gating, and the differential tests stay in one
-                 place.
   metric-name    Telemetry registry lookups (`counter("` / `gauge("` /
                  `histogram("`) whose name literal does not follow the
                  `subsystem/name` convention: lowercase [a-z0-9_]
@@ -84,11 +79,6 @@ WALL_TIMER_RE = re.compile(r"\b(WallTimer|AccumulatingTimer)\b")
 TIDLIST_RAW_RE = re.compile(
     r"\b(?:ItemList|PairList)\s*\(|\bmutable_item_list_for_test\b"
 )
-# Raw x86 intrinsics (and the immintrin-family includes that supply them).
-INTRINSIC_RE = re.compile(
-    r"\b_mm(?:256|512)?_\w+|#\s*include\s*<(?:imm|emm|smm|tmm|nmm|wmm|pmm|x)"
-    r"intrin\.h>"
-)
 # Telemetry registry lookups whose first argument opens with a string
 # literal. The stripper blanks literal contents but keeps the quotes, so
 # the opening quote still matches; the name is read from the raw line at
@@ -111,11 +101,6 @@ NAKED_SYNC_RE = re.compile(
 
 # argv indexing outside the flags library.
 RAW_ARGV_RE = re.compile(r"\bargv\s*\[")
-
-
-def is_simd_file(path, root):
-    return (path.is_relative_to(root / "src" / "tidlist")
-            and path.name.startswith("simd"))
 
 
 def strip_comments_and_strings(line, in_block_comment):
@@ -205,10 +190,6 @@ def lint_file(path, root, findings):
             report(lineno, "wall-timer",
                    "raw timer outside src/common/; instrument via "
                    "common/telemetry.h (ScopedTimer + histograms)")
-        if INTRINSIC_RE.search(code) and not is_simd_file(path, root):
-            report(lineno, "raw-intrinsic",
-                   "x86 intrinsics outside src/tidlist/simd*; add a kernel "
-                   "to the tidlist/simd.h dispatch table instead")
         if (TIDLIST_RAW_RE.search(code)
                 and not path.is_relative_to(root / "src" / "tidlist")):
             report(lineno, "tidlist-raw",
@@ -295,10 +276,6 @@ SELF_TEST_CASES = [
     ("wall-timer fires outside src/common", "src/core/e.cc",
      "void F() {\n  WallTimer timer;\n}\n",
      ["wall-timer"]),
-    ("raw-intrinsic fires outside simd files", "src/core/f.cc",
-     "int F(__m128i a, __m128i b) {\n  return _mm_extract_epi32("
-     "_mm_add_epi32(a, b), 0);\n}\n",
-     ["raw-intrinsic"]),
     ("tidlist-raw fires outside src/tidlist", "src/core/g.cc",
      "void F(const BlockTidLists& lists) {\n  Use(lists.ItemList(3));\n}\n",
      ["tidlist-raw"]),

@@ -31,9 +31,12 @@ Status TransactionFile::Write(const TransactionBlock& block,
          (length == 0 ||
           std::fwrite(t.items().data(), sizeof(Item), length, f) == length);
   }
-  std::fclose(f);
+  // The final buffered flush happens in fclose, so a full disk may only
+  // surface here.
+  const bool closed = std::fclose(f) == 0;
   if (!status.ok()) return status;
   if (!ok) return Status::IoError("short write: " + path);
+  if (!closed) return Status::IoError("close failed: " + path);
   return Status::OK();
 }
 

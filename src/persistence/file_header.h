@@ -23,7 +23,7 @@ inline constexpr uint64_t kMagic = 0x44454d4f4e465331ULL;  // "DEMONFS1"
 /// stable on disk; never renumber.
 enum class FormatId : uint32_t {
   kTransactionFile = 1,  ///< data/transaction_file: block stream
-  kTidListBlock = 2,     ///< tidlist: BlockTidLists bulk dump
+  kTidListBlock = 2,     ///< retired (BlockTidLists bulk dump); id reserved
   kTidListIndexed = 3,   ///< tidlist: random-access TID-list layout
   kItemsetModel = 4,     ///< itemsets/model_io: serialized ItemsetModel
   kCheckpoint = 5,       ///< core: DemonMonitor checkpoint container

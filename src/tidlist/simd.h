@@ -1,88 +1,13 @@
 #ifndef DEMON_TIDLIST_SIMD_H_
 #define DEMON_TIDLIST_SIMD_H_
 
-#include <cstddef>
-#include <cstdint>
-
 namespace demon::simd {
 
-/// \brief Runtime-dispatched intersection kernels for the counting hot
-/// path.
-///
-/// Every kernel here exists in (up to) three implementations — scalar,
-/// SSE4 and AVX2 — compiled with per-function target attributes so the
-/// library itself needs no `-march` flags. `ActiveOps()` picks the widest
-/// tier the running CPU supports, once, at first use; the scalar tier is
-/// always available and is the semantic reference: every other tier must
-/// produce bit-identical output (pinned by tests/simd_kernels_test.cc).
-///
-/// Intrinsics are confined to src/tidlist/simd*.{h,cc} — scripts/lint.py
-/// bans `_mm*` elsewhere — so callers only ever see this table.
-///
-/// Input contracts (shared by all tiers):
-///  - raw lists are sorted strictly increasing uint32 arrays;
-///  - bitmap extents are little-endian bit arrays (bit i of byte b is
-///    offset b*8+i); lengths in bytes, not necessarily equal;
-///  - `out` buffers must have room for kOutPad extra elements beyond the
-///    true result bound (min(na, nb) for list kernels) — wide stores write
-///    a full vector and only the counted prefix is meaningful.
-
-/// Slack callers must reserve past the worst-case output count.
-inline constexpr size_t kOutPad = 8;
-
-struct KernelOps {
-  /// Intersection of two sorted raw lists into `out` (capacity
-  /// min(na, nb) + kOutPad); returns the result count. Chooses between a
-  /// block merge and a galloping walk by the kGallopRatio skew test, like
-  /// the scalar reference.
-  size_t (*raw_raw)(const uint32_t* a, size_t na, const uint32_t* b,
-                    size_t nb, uint32_t* out);
-  /// Cardinality-only twin of raw_raw (no stores) — the final fold of a
-  /// k-way intersection needs only the size.
-  uint64_t (*raw_raw_size)(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb);
-  /// Values of `values` (sorted raw list) whose bit is set in the bitmap,
-  /// into `out` (capacity n + kOutPad); returns the count. A value whose
-  /// byte lies past `bitmap_bytes` tests as absent, matching the scalar
-  /// bounds-checked probe.
-  size_t (*raw_bitmap)(const uint32_t* values, size_t n,
-                       const uint8_t* bitmap, size_t bitmap_bytes,
-                       uint32_t* out);
-  /// Cardinality-only twin of raw_bitmap.
-  uint64_t (*raw_bitmap_size)(const uint32_t* values, size_t n,
-                              const uint8_t* bitmap, size_t bitmap_bytes);
-  /// Set offsets of a AND b into `out`, at most `cap` of them (cap is the
-  /// min cardinality bound; capacity cap + kOutPad); returns the count.
-  size_t (*bitmap_bitmap)(const uint8_t* a, size_t a_bytes, const uint8_t* b,
-                          size_t b_bytes, uint32_t* out, size_t cap);
-  /// popcount(a AND b) — the bitmap×bitmap kernel when only the
-  /// cardinality is needed.
-  uint64_t (*bitmap_bitmap_popcount)(const uint8_t* a, size_t a_bytes,
-                                     const uint8_t* b, size_t b_bytes);
-  /// Tier name for telemetry / bench context: "scalar", "sse4", "avx2".
-  const char* name;
-};
-
-/// The always-available scalar reference tier.
-const KernelOps& ScalarOps();
-
-/// The widest tier the running CPU supports, resolved once at first call.
-/// `DEMON_FORCE_SCALAR=1` in the environment (or a -DDEMON_SIMD=OFF
-/// build) pins this to ScalarOps().
-const KernelOps& ActiveOps();
-
-/// Name of the active tier (== ActiveOps().name).
-const char* ActiveKernelName();
-
-namespace internal {
-
-/// Wider tiers, defined in simd_kernels.cc. Null when the build has SIMD
-/// compiled out (-DDEMON_SIMD=OFF), the target is not x86, or the running
-/// CPU lacks the instruction set. Only ActiveOps() should consult these.
-const KernelOps* Avx2OpsOrNull();
-const KernelOps* Sse4OpsOrNull();
-
-}  // namespace internal
+/// Name of the intersection kernel family, recorded in the ledger
+/// benchmark's run metadata. The TID-list kernels are scalar only (see
+/// DESIGN.md "Counting kernels"); this header survives solely because the
+/// benchmark harness includes it and stamps the name into its results.
+inline const char* ActiveKernelName() { return "scalar"; }
 
 }  // namespace demon::simd
 

@@ -3,9 +3,59 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "tidlist/simd.h"
 
 namespace demon {
+
+namespace {
+
+/// Intersects two sorted raw spans. With kStore the result goes to `out`,
+/// which must have room for min(na, nb) values; without it the matches are
+/// only counted. One body serves both so the storing and size-only kernels
+/// cannot drift apart.
+template <bool kStore>
+size_t MergeRaw(const uint32_t* a, size_t na, const uint32_t* b, size_t nb,
+                uint32_t* out) {
+  const uint32_t* small = na <= nb ? a : b;
+  const size_t nsmall = na <= nb ? na : nb;
+  const uint32_t* large = na <= nb ? b : a;
+  const size_t nlarge = na <= nb ? nb : na;
+  if (nsmall == 0) return 0;
+  size_t n = 0;
+  if (nlarge / (nsmall + 1) >= kGallopRatio) {
+    // Gallop through the large list: each element of the small list only
+    // advances the cursor, never rewinds it.
+    const uint32_t* lo = large;
+    const uint32_t* const end = large + nlarge;
+    for (size_t i = 0; i < nsmall; ++i) {
+      const uint32_t v = small[i];
+      lo = GallopLowerBound(lo, end, v);
+      if (lo == end) break;
+      if constexpr (kStore) out[n] = v;
+      n += static_cast<size_t>(*lo == v);
+    }
+  } else {
+    // Branchless merge: the candidate is stored unconditionally and the
+    // output cursor advances only on a match, so the loop body has no
+    // unpredictable branches (matches are rare and random in practice).
+    // A store lands at most at index min(na, nb) - 1: every match also
+    // advances the small cursor.
+    const uint32_t* pa = small;
+    const uint32_t* const ea = pa + nsmall;
+    const uint32_t* pb = large;
+    const uint32_t* const eb = pb + nlarge;
+    while (pa < ea && pb < eb) {
+      const uint32_t x = *pa;
+      const uint32_t y = *pb;
+      if constexpr (kStore) out[n] = x;
+      n += static_cast<size_t>(x == y);
+      pa += static_cast<size_t>(x <= y);
+      pb += static_cast<size_t>(y <= x);
+    }
+  }
+  return n;
+}
+
+}  // namespace
 
 // The probe step is clamped against `last` so no pointer past the
 // one-past-the-end position is ever formed.
@@ -24,18 +74,15 @@ const uint32_t* GallopLowerBound(const uint32_t* first, const uint32_t* last,
 
 void IntersectRawInto(const uint32_t* a, size_t na, const uint32_t* b,
                       size_t nb, TidList* out) {
-  const size_t bound = na <= nb ? na : nb;
-  if (bound == 0) {
-    out->clear();
-    return;
-  }
-  // Size for the worst case plus the vector-store slack the kernels are
-  // allowed to use; shrinking at the end keeps the capacity for later
-  // calls. The kernel (scalar / SSE4 / AVX2, resolved once per process)
-  // writes through a raw pointer and returns the true count.
-  out->resize(bound + simd::kOutPad);
-  const size_t n = simd::ActiveOps().raw_raw(a, na, b, nb, out->data());
-  out->resize(n);
+  // Size for the worst case; shrinking at the end keeps the capacity for
+  // later calls.
+  out->resize(na <= nb ? na : nb);
+  out->resize(MergeRaw<true>(a, na, b, nb, out->data()));
+}
+
+uint64_t IntersectRawSize(const uint32_t* a, size_t na, const uint32_t* b,
+                          size_t nb) {
+  return MergeRaw<false>(a, na, b, nb, nullptr);
 }
 
 void IntersectInto(const TidList& a, const TidList& b, TidList* out) {
@@ -62,9 +109,8 @@ uint64_t IntersectionSize(const std::vector<const TidList*>& lists,
   // The final fold only needs a cardinality, so it takes the store-free
   // kernel; earlier folds must materialize the running intersection.
   const size_t last = scratch->order.size() - 1;
-  const simd::KernelOps& ops = simd::ActiveOps();
   if (last == 1) {
-    return ops.raw_raw_size(scratch->order[0]->data(),
+    return IntersectRawSize(scratch->order[0]->data(),
                             scratch->order[0]->size(),
                             scratch->order[1]->data(),
                             scratch->order[1]->size());
@@ -78,7 +124,7 @@ uint64_t IntersectionSize(const std::vector<const TidList*>& lists,
     current.swap(next);
   }
   if (current.empty()) return 0;
-  return ops.raw_raw_size(current.data(), current.size(),
+  return IntersectRawSize(current.data(), current.size(),
                           scratch->order[last]->data(),
                           scratch->order[last]->size());
 }

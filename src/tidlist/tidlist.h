@@ -38,6 +38,11 @@ void IntersectInto(const TidList& a, const TidList& b, TidList* out);
 void IntersectRawInto(const uint32_t* a, size_t na, const uint32_t* b,
                       size_t nb, TidList* out);
 
+/// Cardinality-only twin of IntersectRawInto (same merge, no stores) — the
+/// final fold of a k-way intersection needs only the size.
+uint64_t IntersectRawSize(const uint32_t* a, size_t na, const uint32_t* b,
+                          size_t nb);
+
 /// \brief Returns the intersection of two sorted TID-lists.
 TidList Intersect(const TidList& a, const TidList& b);
 

@@ -4,17 +4,10 @@
 #include <cstring>
 
 #include "common/check.h"
-#include "tidlist/simd.h"
 
 namespace demon {
 
 namespace {
-
-constexpr size_t kBitmapWordBytes = sizeof(uint64_t);
-
-size_t BitmapWords(uint32_t universe) {
-  return (static_cast<size_t>(universe) + 63) / 64;
-}
 
 size_t VarintBytes(uint32_t v) {
   size_t n = 1;
@@ -85,22 +78,6 @@ struct DeltaCursor {
   }
 };
 
-uint64_t BitmapWord(const TidListView& view, size_t word) {
-  uint64_t w = 0;
-  const size_t offset = word * kBitmapWordBytes;
-  if (offset < view.bytes) {
-    const size_t n = std::min(kBitmapWordBytes, view.bytes - offset);
-    std::memcpy(&w, view.data + offset, n);
-  }
-  return w;
-}
-
-bool BitmapTest(const TidListView& view, uint32_t value) {
-  const size_t byte = static_cast<size_t>(value) / 8;
-  if (byte >= view.bytes) return false;
-  return (view.data[byte] >> (value % 8)) & 1;
-}
-
 const uint32_t* RawBegin(const TidListView& view) {
   return reinterpret_cast<const uint32_t*>(view.data);
 }
@@ -112,99 +89,44 @@ size_t RawCount(const TidListView& view) {
                   view.bytes / sizeof(uint32_t));
 }
 
-// --- pairwise kernels; each emits a raw sorted list into *out ------------
-
-void IntersectRawBitmap(const TidListView& raw, const TidListView& bitmap,
-                        TidList* out) {
-  const uint32_t* p = RawBegin(raw);
-  const size_t n = RawCount(raw);
-  out->resize(n + simd::kOutPad);
-  const size_t k = simd::ActiveOps().raw_bitmap(p, n, bitmap.data,
-                                                bitmap.bytes, out->data());
-  out->resize(k);
+/// A raw view over a decoded list (the running intersection of a fold).
+TidListView RawView(const TidList& list, uint32_t universe) {
+  return TidListView{TidEncoding::kRaw, static_cast<uint32_t>(list.size()),
+                     universe, reinterpret_cast<const uint8_t*>(list.data()),
+                     list.size() * sizeof(uint32_t)};
 }
 
-void IntersectRawDelta(const TidListView& raw, const TidListView& delta,
-                       TidList* out) {
+bool BothRaw(const TidListView& a, const TidListView& b) {
+  return a.encoding == TidEncoding::kRaw && b.encoding == TidEncoding::kRaw;
+}
+
+// --- delta-involving pairwise kernels -------------------------------------
+//
+// With kStore the result goes to `out`, which must have room for the smaller
+// of the two cardinalities; without it the matches are only counted. One
+// body per pair serves IntersectInto and IntersectSize alike.
+
+template <bool kStore>
+size_t MergeRawDelta(const TidListView& raw, const TidListView& delta,
+                     uint32_t* out) {
   const uint32_t* lo = RawBegin(raw);
   const uint32_t* const end = lo + RawCount(raw);
-  out->resize(std::min(static_cast<size_t>(end - lo),
-                       static_cast<size_t>(delta.num_tids)));
-  uint32_t* const out_data = out->data();
   size_t k = 0;
   // The delta side has no random access, so it is always streamed; the raw
   // cursor gallops forward to each streamed value.
   for (DeltaCursor cur(delta); cur.valid && lo != end; cur.Advance()) {
     lo = GallopLowerBound(lo, end, cur.value);
     if (lo == end) break;
-    out_data[k] = cur.value;
+    if constexpr (kStore) out[k] = cur.value;
     k += static_cast<size_t>(*lo == cur.value);
-  }
-  out->resize(k);
-}
-
-void IntersectDeltaDelta(const TidListView& a, const TidListView& b,
-                         TidList* out) {
-  out->resize(std::min(a.num_tids, b.num_tids));
-  uint32_t* const out_data = out->data();
-  size_t k = 0;
-  DeltaCursor ca(a);
-  DeltaCursor cb(b);
-  while (ca.valid && cb.valid) {
-    if (ca.value < cb.value) {
-      ca.Advance();
-    } else if (cb.value < ca.value) {
-      cb.Advance();
-    } else {
-      out_data[k++] = ca.value;
-      ca.Advance();
-      cb.Advance();
-    }
-  }
-  out->resize(k);
-}
-
-void IntersectDeltaBitmap(const TidListView& delta, const TidListView& bitmap,
-                          TidList* out) {
-  out->resize(delta.num_tids);
-  uint32_t* const out_data = out->data();
-  size_t k = 0;
-  for (DeltaCursor cur(delta); cur.valid; cur.Advance()) {
-    out_data[k] = cur.value;
-    k += static_cast<size_t>(BitmapTest(bitmap, cur.value));
-  }
-  out->resize(k);
-}
-
-void IntersectBitmapBitmap(const TidListView& a, const TidListView& b,
-                           TidList* out) {
-  const size_t cap = std::min(a.num_tids, b.num_tids);
-  out->resize(cap + simd::kOutPad);
-  const size_t k = simd::ActiveOps().bitmap_bitmap(a.data, a.bytes, b.data,
-                                                   b.bytes, out->data(), cap);
-  out->resize(k);
-}
-
-// --- size-only pairwise kernels (no output list) -------------------------
-//
-// The delta-involving pairs stream the compressed side like the storing
-// kernels above but skip the stores; the raw/bitmap pairs go through the
-// dispatched store-free kernels.
-
-uint64_t SizeRawDelta(const TidListView& raw, const TidListView& delta) {
-  const uint32_t* lo = RawBegin(raw);
-  const uint32_t* const end = lo + RawCount(raw);
-  uint64_t k = 0;
-  for (DeltaCursor cur(delta); cur.valid && lo != end; cur.Advance()) {
-    lo = GallopLowerBound(lo, end, cur.value);
-    if (lo == end) break;
-    k += static_cast<uint64_t>(*lo == cur.value);
   }
   return k;
 }
 
-uint64_t SizeDeltaDelta(const TidListView& a, const TidListView& b) {
-  uint64_t k = 0;
+template <bool kStore>
+size_t MergeDeltaDelta(const TidListView& a, const TidListView& b,
+                       uint32_t* out) {
+  size_t k = 0;
   DeltaCursor ca(a);
   DeltaCursor cb(b);
   while (ca.valid && cb.valid) {
@@ -213,6 +135,7 @@ uint64_t SizeDeltaDelta(const TidListView& a, const TidListView& b) {
     } else if (cb.value < ca.value) {
       cb.Advance();
     } else {
+      if constexpr (kStore) out[k] = ca.value;
       ++k;
       ca.Advance();
       cb.Advance();
@@ -221,12 +144,22 @@ uint64_t SizeDeltaDelta(const TidListView& a, const TidListView& b) {
   return k;
 }
 
-uint64_t SizeDeltaBitmap(const TidListView& delta, const TidListView& bitmap) {
-  uint64_t k = 0;
-  for (DeltaCursor cur(delta); cur.valid; cur.Advance()) {
-    k += static_cast<uint64_t>(BitmapTest(bitmap, cur.value));
+/// Dispatches every pair that involves a delta side; raw×raw goes straight
+/// to the tidlist.h merge instead.
+template <bool kStore>
+size_t MergeWithDelta(const TidListView& a, const TidListView& b,
+                      uint32_t* out) {
+  const bool a_delta = a.encoding == TidEncoding::kDelta;
+  const bool b_delta = b.encoding == TidEncoding::kDelta;
+  if (a_delta && b_delta) return MergeDeltaDelta<kStore>(a, b, out);
+  if (a_delta && b.encoding == TidEncoding::kRaw) {
+    return MergeRawDelta<kStore>(b, a, out);
   }
-  return k;
+  if (b_delta && a.encoding == TidEncoding::kRaw) {
+    return MergeRawDelta<kStore>(a, b, out);
+  }
+  DEMON_CHECK_MSG(false, "unknown TID-list encoding pair");
+  return 0;
 }
 
 }  // namespace
@@ -237,19 +170,14 @@ const char* TidEncodingName(TidEncoding encoding) {
       return "raw";
     case TidEncoding::kDelta:
       return "delta";
-    case TidEncoding::kBitmap:
-      return "bitmap";
   }
   return "unknown";
 }
 
-size_t EncodedTidListBytes(TidEncoding encoding, const TidList& list,
-                           uint32_t universe) {
+size_t EncodedTidListBytes(TidEncoding encoding, const TidList& list) {
   switch (encoding) {
     case TidEncoding::kRaw:
       return list.size() * sizeof(uint32_t);
-    case TidEncoding::kBitmap:
-      return BitmapWords(universe) * kBitmapWordBytes;
     case TidEncoding::kDelta: {
       size_t bytes = 0;
       uint32_t prev = 0;
@@ -263,8 +191,7 @@ size_t EncodedTidListBytes(TidEncoding encoding, const TidList& list,
   return 0;
 }
 
-EncodedTidList EncodeTidListAs(TidEncoding encoding, const TidList& list,
-                               uint32_t universe) {
+EncodedTidList EncodeTidListAs(TidEncoding encoding, const TidList& list) {
   EncodedTidList out;
   out.encoding = encoding;
   out.num_tids = static_cast<uint32_t>(list.size());
@@ -276,7 +203,7 @@ EncodedTidList EncodeTidListAs(TidEncoding encoding, const TidList& list,
       }
       break;
     case TidEncoding::kDelta: {
-      out.bytes.reserve(EncodedTidListBytes(encoding, list, universe));
+      out.bytes.reserve(EncodedTidListBytes(encoding, list));
       uint32_t prev = 0;
       for (size_t i = 0; i < list.size(); ++i) {
         AppendVarint(i == 0 ? list[i] : list[i] - prev, &out.bytes);
@@ -284,37 +211,17 @@ EncodedTidList EncodeTidListAs(TidEncoding encoding, const TidList& list,
       }
       break;
     }
-    case TidEncoding::kBitmap: {
-      std::vector<uint64_t> words(BitmapWords(universe), 0);
-      for (uint32_t v : list) {
-        DEMON_CHECK_MSG(v < universe, "tid outside the block universe");
-        words[v / 64] |= uint64_t{1} << (v % 64);
-      }
-      out.bytes.resize(words.size() * kBitmapWordBytes);
-      if (!words.empty()) {
-        std::memcpy(out.bytes.data(), words.data(), out.bytes.size());
-      }
-      break;
-    }
   }
   return out;
 }
 
-EncodedTidList EncodeTidList(const TidList& list, uint32_t universe) {
-  // Density heuristic: pick the smallest encoding; ties prefer raw, then
-  // bitmap, whose intersection kernels are cheaper than delta streaming.
-  TidEncoding best = TidEncoding::kRaw;
-  size_t best_bytes = EncodedTidListBytes(TidEncoding::kRaw, list, universe);
-  const size_t bitmap_bytes =
-      EncodedTidListBytes(TidEncoding::kBitmap, list, universe);
-  if (bitmap_bytes < best_bytes) {
-    best = TidEncoding::kBitmap;
-    best_bytes = bitmap_bytes;
-  }
-  if (EncodedTidListBytes(TidEncoding::kDelta, list, universe) < best_bytes) {
-    best = TidEncoding::kDelta;
-  }
-  return EncodeTidListAs(best, list, universe);
+EncodedTidList EncodeTidList(const TidList& list) {
+  // Density heuristic: delta only when strictly smaller; ties prefer raw.
+  const bool delta_smaller =
+      EncodedTidListBytes(TidEncoding::kDelta, list) <
+      EncodedTidListBytes(TidEncoding::kRaw, list);
+  return EncodeTidListAs(
+      delta_smaller ? TidEncoding::kDelta : TidEncoding::kRaw, list);
 }
 
 void MaterializeInto(const TidListView& view, TidList* out) {
@@ -332,21 +239,6 @@ void MaterializeInto(const TidListView& view, TidList* out) {
         out->push_back(cur.value);
       }
       break;
-    case TidEncoding::kBitmap: {
-      out->reserve(view.num_tids);
-      const size_t words = (view.bytes + kBitmapWordBytes - 1) /
-                           kBitmapWordBytes;
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t bits = BitmapWord(view, w);
-        const uint32_t base = static_cast<uint32_t>(w * 64);
-        while (bits != 0) {
-          out->push_back(base +
-                         static_cast<uint32_t>(__builtin_ctzll(bits)));
-          bits &= bits - 1;
-        }
-      }
-      break;
-    }
   }
 }
 
@@ -400,19 +292,6 @@ Status DecodeTidList(const TidListView& view, TidList* out) {
       }
       return Status::OK();
     }
-    case TidEncoding::kBitmap: {
-      if (view.bytes != BitmapWords(view.universe) * kBitmapWordBytes) {
-        return Status::DataLoss("bitmap TID-list extent length mismatch");
-      }
-      MaterializeInto(view, out);
-      if (out->size() != view.num_tids) {
-        return Status::DataLoss("bitmap TID-list cardinality mismatch");
-      }
-      if (!out->empty() && out->back() >= view.universe) {
-        return Status::DataLoss("bitmap TID-list bit outside the universe");
-      }
-      return Status::OK();
-    }
   }
   return Status::DataLoss("unknown TID-list encoding");
 }
@@ -422,99 +301,25 @@ void IntersectInto(const TidListView& a, const TidListView& b, TidList* out) {
     out->clear();
     return;
   }
-  switch (a.encoding) {
-    case TidEncoding::kRaw:
-      switch (b.encoding) {
-        case TidEncoding::kRaw:
-          IntersectRawInto(RawBegin(a), RawCount(a), RawBegin(b), RawCount(b),
-                           out);
-          return;
-        case TidEncoding::kDelta:
-          IntersectRawDelta(a, b, out);
-          return;
-        case TidEncoding::kBitmap:
-          IntersectRawBitmap(a, b, out);
-          return;
-      }
-      break;
-    case TidEncoding::kDelta:
-      switch (b.encoding) {
-        case TidEncoding::kRaw:
-          IntersectRawDelta(b, a, out);
-          return;
-        case TidEncoding::kDelta:
-          IntersectDeltaDelta(a, b, out);
-          return;
-        case TidEncoding::kBitmap:
-          IntersectDeltaBitmap(a, b, out);
-          return;
-      }
-      break;
-    case TidEncoding::kBitmap:
-      switch (b.encoding) {
-        case TidEncoding::kRaw:
-          IntersectRawBitmap(b, a, out);
-          return;
-        case TidEncoding::kDelta:
-          IntersectDeltaBitmap(b, a, out);
-          return;
-        case TidEncoding::kBitmap:
-          IntersectBitmapBitmap(a, b, out);
-          return;
-      }
-      break;
+  if (BothRaw(a, b)) {
+    IntersectRawInto(RawBegin(a), RawCount(a), RawBegin(b), RawCount(b), out);
+    return;
   }
-  DEMON_CHECK_MSG(false, "unknown TID-list encoding pair");
+  out->resize(std::min(a.num_tids, b.num_tids));
+  out->resize(MergeWithDelta<true>(a, b, out->data()));
 }
 
 void IntersectInto(const TidList& a, const TidListView& b, TidList* out) {
-  const TidListView raw{TidEncoding::kRaw, static_cast<uint32_t>(a.size()),
-                        b.universe,
-                        reinterpret_cast<const uint8_t*>(a.data()),
-                        a.size() * sizeof(uint32_t)};
-  IntersectInto(raw, b, out);
+  IntersectInto(RawView(a, b.universe), b, out);
 }
 
 uint64_t IntersectSize(const TidListView& a, const TidListView& b) {
   if (a.num_tids == 0 || b.num_tids == 0) return 0;
-  const simd::KernelOps& ops = simd::ActiveOps();
-  switch (a.encoding) {
-    case TidEncoding::kRaw:
-      switch (b.encoding) {
-        case TidEncoding::kRaw:
-          return ops.raw_raw_size(RawBegin(a), RawCount(a), RawBegin(b),
-                                  RawCount(b));
-        case TidEncoding::kDelta:
-          return SizeRawDelta(a, b);
-        case TidEncoding::kBitmap:
-          return ops.raw_bitmap_size(RawBegin(a), RawCount(a), b.data,
-                                     b.bytes);
-      }
-      break;
-    case TidEncoding::kDelta:
-      switch (b.encoding) {
-        case TidEncoding::kRaw:
-          return SizeRawDelta(b, a);
-        case TidEncoding::kDelta:
-          return SizeDeltaDelta(a, b);
-        case TidEncoding::kBitmap:
-          return SizeDeltaBitmap(a, b);
-      }
-      break;
-    case TidEncoding::kBitmap:
-      switch (b.encoding) {
-        case TidEncoding::kRaw:
-          return ops.raw_bitmap_size(RawBegin(b), RawCount(b), a.data,
-                                     a.bytes);
-        case TidEncoding::kDelta:
-          return SizeDeltaBitmap(b, a);
-        case TidEncoding::kBitmap:
-          return ops.bitmap_bitmap_popcount(a.data, a.bytes, b.data, b.bytes);
-      }
-      break;
+  if (BothRaw(a, b)) {
+    return IntersectRawSize(RawBegin(a), RawCount(a), RawBegin(b),
+                            RawCount(b));
   }
-  DEMON_CHECK_MSG(false, "unknown TID-list encoding pair");
-  return 0;
+  return MergeWithDelta<false>(a, b, nullptr);
 }
 
 uint64_t IntersectionSize(const std::vector<TidListView>& views,
@@ -531,8 +336,7 @@ uint64_t IntersectionSize(const std::vector<TidListView>& views,
               return views[a].num_tids < views[b].num_tids;
             });
   // As in the raw-list IntersectionSize, the final fold never needs the
-  // result materialized — it goes through the size-only pairwise kernels
-  // (popcount for bitmap×bitmap, store-free merges otherwise).
+  // result materialized — it goes through the size-only pairwise kernels.
   const size_t last = scratch->view_order.size() - 1;
   if (last == 1) {
     return IntersectSize(views[scratch->view_order[0]],
@@ -549,11 +353,7 @@ uint64_t IntersectionSize(const std::vector<TidListView>& views,
   }
   if (current.empty()) return 0;
   const TidListView& final_view = views[scratch->view_order[last]];
-  const TidListView running{
-      TidEncoding::kRaw, static_cast<uint32_t>(current.size()),
-      final_view.universe, reinterpret_cast<const uint8_t*>(current.data()),
-      current.size() * sizeof(uint32_t)};
-  return IntersectSize(running, final_view);
+  return IntersectSize(RawView(current, final_view.universe), final_view);
 }
 
 }  // namespace demon

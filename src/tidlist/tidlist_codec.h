@@ -10,22 +10,21 @@
 
 namespace demon {
 
-/// \brief On-disk / in-extent encoding of one TID-list. Values are stable
-/// (serialized in tidlist extents); never renumber.
+/// \brief In-extent encoding of one TID-list. Values are stable (they are
+/// recorded in every directory entry and spill image); never renumber.
+/// Value 2 was a dense bitmap encoding; it is retired, never produced, and
+/// DecodeTidList rejects it as DataLoss.
 enum class TidEncoding : uint8_t {
-  /// Little-endian uint32 array — today's representation. 4 bytes/tid.
+  /// Little-endian uint32 array. 4 bytes/tid.
   kRaw = 0,
   /// First value then successive gaps, each LEB128-varint encoded. Wins on
   /// sparse lists (small gaps fit one byte).
   kDelta = 1,
-  /// Dense bitset over the block universe, 64-bit little-endian words. Wins
-  /// once more than ~1/32 of the block contains the item.
-  kBitmap = 2,
 };
 
-inline constexpr uint8_t kNumTidEncodings = 3;
+inline constexpr uint8_t kNumTidEncodings = 2;
 
-/// Short lowercase name ("raw", "delta", "bitmap") for telemetry/logging.
+/// Short lowercase name ("raw", "delta") for telemetry/logging.
 const char* TidEncodingName(TidEncoding encoding);
 
 /// \brief A non-owning view of one encoded TID-list. Valid only while the
@@ -36,7 +35,7 @@ struct TidListView {
   /// List cardinality (known without decoding; drives smallest-first
   /// intersection order and support-of-singleton fast paths).
   uint32_t num_tids = 0;
-  /// Block size; bitmap width and upper bound for every offset.
+  /// Block size; upper bound for every offset.
   uint32_t universe = 0;
   const uint8_t* data = nullptr;
   size_t bytes = 0;
@@ -59,18 +58,15 @@ struct EncodedTidList {
 
 /// Encoded size in bytes of `list` under `encoding` without encoding it
 /// (delta does one measuring pass). Used by the density heuristic.
-size_t EncodedTidListBytes(TidEncoding encoding, const TidList& list,
-                           uint32_t universe);
+size_t EncodedTidListBytes(TidEncoding encoding, const TidList& list);
 
-/// Encodes `list` (sorted strictly increasing, every offset < universe)
-/// under the stated encoding.
-EncodedTidList EncodeTidListAs(TidEncoding encoding, const TidList& list,
-                               uint32_t universe);
+/// Encodes `list` (sorted strictly increasing) under the stated encoding.
+EncodedTidList EncodeTidListAs(TidEncoding encoding, const TidList& list);
 
-/// Encodes `list` under the smallest of the three encodings (the per
-/// (item, block) density heuristic). Ties prefer raw, then bitmap — the
-/// cheaper intersection kernels.
-EncodedTidList EncodeTidList(const TidList& list, uint32_t universe);
+/// Encodes `list` under the smaller of the two encodings (the per
+/// (item, block) density heuristic). Ties prefer raw, whose intersection
+/// kernel needs no decoding.
+EncodedTidList EncodeTidList(const TidList& list);
 
 /// Decodes `view` into `out` (cleared first). Trusts the input: meant for
 /// extents this process built or that a validated read produced. Corrupt
@@ -78,15 +74,15 @@ EncodedTidList EncodeTidList(const TidList& list, uint32_t universe);
 /// catch them); use DecodeTidList for bytes fresh off a file.
 void MaterializeInto(const TidListView& view, TidList* out);
 
-/// Validating decode for untrusted bytes (file reads): checks framing
-/// lengths, cardinality, strict ascent, and the universe bound. Any
-/// mismatch returns DataLoss and leaves `out` unspecified.
+/// Validating decode for untrusted bytes (file reads): checks the
+/// encoding value, framing lengths, cardinality, strict ascent, and the
+/// universe bound. Any mismatch returns DataLoss and leaves `out`
+/// unspecified.
 [[nodiscard]] Status DecodeTidList(const TidListView& view, TidList* out);
 
 /// \brief Intersects two encoded lists into a raw (decoded) output without
-/// materializing both sides: each of the nine encoding pairs has a kernel
-/// that streams the compressed form directly (word-AND for bitmap×bitmap,
-/// bitmap probes for bitmap×sparse, cursor merges for delta).
+/// materializing either side: raw×raw merges (galloping on skew), and the
+/// delta pairs stream the compressed side through a cursor.
 void IntersectInto(const TidListView& a, const TidListView& b, TidList* out);
 
 /// Raw decoded left side against an encoded right side — the fold step of
@@ -94,10 +90,9 @@ void IntersectInto(const TidListView& a, const TidListView& b, TidList* out);
 void IntersectInto(const TidList& a, const TidListView& b, TidList* out);
 
 /// \brief Cardinality of a ∩ b without materializing the result — the
-/// store-free twin of the pairwise IntersectInto, covering all nine
-/// encoding pairs (popcount for bitmap×bitmap, probe counts for
-/// bitmap×sparse, cursor merges for delta). This is the kernel the final
-/// fold of a k-way intersection uses.
+/// store-free twin of the pairwise IntersectInto (same kernels, no
+/// stores). This is the kernel the final fold of a k-way intersection
+/// uses.
 uint64_t IntersectSize(const TidListView& a, const TidListView& b);
 
 /// \brief Cardinality of the intersection of encoded `views` — the

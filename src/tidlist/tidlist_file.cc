@@ -82,9 +82,12 @@ Status TidListFile::Write(const BlockTidLists& lists,
            decoded.size();
     }
   }
-  std::fclose(f);
+  // The final buffered flush happens in fclose, so a full disk may only
+  // surface here.
+  const bool closed = std::fclose(f) == 0;
   if (!header_status.ok()) return header_status;
   if (!ok) return Status::IoError("short write: " + path);
+  if (!closed) return Status::IoError("close failed: " + path);
   return Status::OK();
 }
 

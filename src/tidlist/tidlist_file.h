@@ -15,10 +15,9 @@ namespace demon {
 
 /// \brief Random-access on-disk layout for a block's TID-lists: a header
 /// with per-item (and per-pair) offset/length tables followed by the raw
-/// sorted uint32 lists. Unlike BlockTidLists::WriteToFile (a bulk dump),
-/// this format supports reading *one* list without touching the rest —
-/// the access pattern ECUT's analysis assumes (§3.1.1: "retrieves only
-/// the relevant portion of the dataset").
+/// sorted uint32 lists. The format supports reading *one* list without
+/// touching the rest — the access pattern ECUT's analysis assumes
+/// (§3.1.1: "retrieves only the relevant portion of the dataset").
 class TidListFile {
  public:
   /// Writes `lists` (item lists and any materialized pair lists) to

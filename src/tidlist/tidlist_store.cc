@@ -10,48 +10,8 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "persistence/file_header.h"
 
 namespace demon {
-
-namespace {
-
-/// Version 2 stores encoded extents (raw / delta / bitmap) behind an
-/// always-resident directory; version 1 (length-prefixed uint32 dumps) is
-/// still read and re-encoded on load.
-constexpr uint32_t kTidListBlockVersion = 2;
-
-constexpr size_t kItemEntryBytes = 24;  // offset, bytes, count, encoding
-constexpr size_t kPairEntryBytes = 32;  // key + the same
-constexpr size_t kCountsBytes = 4 * sizeof(uint64_t);
-
-bool WriteU64(std::FILE* f, uint64_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool WriteU32(std::FILE* f, uint32_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool ReadU64(std::FILE* f, uint64_t* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-
-bool ReadU32(std::FILE* f, uint32_t* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-
-/// `max_slots` bounds the announced length against the file size so a
-/// corrupt prefix cannot force a huge allocation (v1 reader).
-bool ReadList(std::FILE* f, TidList* list, uint64_t max_slots) {
-  uint64_t n = 0;
-  if (!ReadU64(f, &n) || n > max_slots) return false;
-  list->resize(n);
-  if (n == 0) return true;
-  return std::fread(list->data(), sizeof(uint32_t), n, f) == n;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // TidListLease
@@ -116,13 +76,12 @@ void BlockTidLists::EncodePayload(
     const std::vector<TidList>& item_lists,
     const std::vector<std::pair<uint64_t, TidList>>& pair_lists,
     size_t force_raw_item) {
-  const uint32_t u = universe();
   items_.assign(item_lists.size(), Extent{});
   pair_extents_.clear();
   std::vector<uint8_t> payload;
   const auto append = [&payload](const EncodedTidList& enc) {
-    // 8-byte alignment lets the raw kernels load uint32s and the bitmap
-    // helpers read words straight out of the (possibly mmapped) extent.
+    // 8-byte list alignment lets the raw kernels load uint32s straight out
+    // of the (possibly mmapped) extent.
     while (payload.size() % 8 != 0) payload.push_back(0);
     Extent ex;
     ex.offset = payload.size();
@@ -134,17 +93,12 @@ void BlockTidLists::EncodePayload(
   };
   for (size_t i = 0; i < item_lists.size(); ++i) {
     items_[i] = append(i == force_raw_item
-                           ? EncodeTidListAs(TidEncoding::kRaw, item_lists[i],
-                                             u)
-                           : EncodeTidList(item_lists[i], u));
+                           ? EncodeTidListAs(TidEncoding::kRaw, item_lists[i])
+                           : EncodeTidList(item_lists[i]));
   }
   for (const auto& [key, list] : pair_lists) {
-    pair_extents_.emplace(key, append(EncodeTidList(list, u)));
+    pair_extents_.emplace(key, append(EncodeTidList(list)));
   }
-  AdoptPayload(std::move(payload));
-}
-
-void BlockTidLists::AdoptPayload(std::vector<uint8_t> payload) {
   // A non-empty payload keeps `resident payload <=> payload_ != nullptr`
   // unconditional (empty vectors may hand out null data()).
   if (payload.empty()) payload.push_back(0);
@@ -263,16 +217,14 @@ void BlockTidLists::FaultIn(const ExtentPager& pager,
   DEMON_CHECK_MSG(&pager == pager_.get(),
                   "fault-in driven by a foreign pager");
   pager_->mutex_.AssertHeld();
-  const uint64_t payload_off = PayloadFileOffset();
-  const size_t total = static_cast<size_t>(payload_off) + payload_bytes_;
   const int fd = ::open(spill_path.c_str(), O_RDONLY);
   DEMON_CHECK_MSG(fd >= 0, "cannot open a TID-list spill file");
-  void* base = ::mmap(nullptr, total, PROT_READ, MAP_PRIVATE, fd, 0);
+  void* base = ::mmap(nullptr, payload_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
   if (base != MAP_FAILED) {
     ::close(fd);
     map_base_ = base;
-    map_bytes_ = total;
-    payload_.store(static_cast<const uint8_t*>(base) + payload_off,
+    map_bytes_ = payload_bytes_;
+    payload_.store(static_cast<const uint8_t*>(base),
                    std::memory_order_release);
     return;
   }
@@ -281,7 +233,7 @@ void BlockTidLists::FaultIn(const ExtentPager& pager,
   size_t done = 0;
   while (done < payload_bytes_) {
     const ssize_t n = ::pread(fd, owned_.data() + done, payload_bytes_ - done,
-                              static_cast<off_t>(payload_off + done));
+                              static_cast<off_t>(done));
     DEMON_CHECK_MSG(n > 0, "short read from a TID-list spill file");
     done += static_cast<size_t>(n);
   }
@@ -293,11 +245,14 @@ void BlockTidLists::Spill(const ExtentPager& pager,
                           const std::string& path) const {
   DEMON_CHECK_MSG(&pager == pager_.get(), "spill driven by a foreign pager");
   pager_->mutex_.AssertHeld();
+  const uint8_t* base = payload_.load(std::memory_order_acquire);
+  DEMON_CHECK_MSG(base != nullptr, "spilling an evicted payload");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   DEMON_CHECK_MSG(f != nullptr, "cannot open a TID-list spill file for write");
-  const Status status = WriteContents(f, path);
+  const bool written =
+      std::fwrite(base, 1, payload_bytes_, f) == payload_bytes_;
   const bool closed = std::fclose(f) == 0;
-  DEMON_CHECK_MSG(status.ok() && closed, "TID-list spill write failed");
+  DEMON_CHECK_MSG(written && closed, "TID-list spill write failed");
 }
 
 void BlockTidLists::ReleasePayload(const ExtentPager& pager) const {
@@ -343,229 +298,6 @@ void BlockTidLists::SetItemListForTest(Item item, const TidList& list) {
   }
   EncodePayload(item_lists, pair_lists, item);
   if (pager_ != nullptr) pager_->OnPayloadRebuilt(this, old_bytes);
-}
-
-// ---------------------------------------------------------------------------
-// BlockTidLists: persistence
-
-uint64_t BlockTidLists::PayloadFileOffset() const {
-  return persistence::FileHeader::kBytes + kCountsBytes +
-         items_.size() * kItemEntryBytes +
-         pair_extents_.size() * kPairEntryBytes;
-}
-
-Status BlockTidLists::WriteContents(std::FILE* f,
-                                    const std::string& path) const {
-  persistence::FileHeader header;
-  header.format_id =
-      static_cast<uint32_t>(persistence::FormatId::kTidListBlock);
-  header.version = kTidListBlockVersion;
-  DEMON_RETURN_NOT_OK(header.WriteTo(f));
-  bool ok = WriteU64(f, num_transactions_) && WriteU64(f, items_.size()) &&
-            WriteU64(f, pair_extents_.size()) &&
-            WriteU64(f, payload_bytes_);
-  const auto write_extent = [f](const Extent& ex) {
-    return WriteU64(f, ex.offset) && WriteU64(f, ex.bytes) &&
-           WriteU32(f, ex.count) &&
-           WriteU32(f, static_cast<uint32_t>(ex.encoding));
-  };
-  for (size_t i = 0; ok && i < items_.size(); ++i) {
-    ok = write_extent(items_[i]);
-  }
-  std::vector<uint64_t> keys;
-  keys.reserve(pair_extents_.size());
-  for (const auto& [key, extent] : pair_extents_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (size_t p = 0; ok && p < keys.size(); ++p) {
-    ok = WriteU64(f, keys[p]) &&
-         write_extent(pair_extents_.find(keys[p])->second);
-  }
-  if (ok && payload_bytes_ > 0) {
-    const uint8_t* base = payload_.load(std::memory_order_acquire);
-    DEMON_CHECK_MSG(base != nullptr, "serializing an evicted payload");
-    ok = std::fwrite(base, 1, payload_bytes_, f) == payload_bytes_;
-  }
-  if (!ok) return Status::IoError("short write: " + path);
-  return Status::OK();
-}
-
-Status BlockTidLists::WriteToFile(const std::string& path) const {
-  // Member of a storage value type, so no registry to inject — the
-  // process-global registry records store I/O instead. Null when the
-  // telemetry gate is off, so every instrumentation line below folds away.
-  telemetry::TelemetryRegistry* telemetry =
-      telemetry::kEnabled ? &telemetry::TelemetryRegistry::Global() : nullptr;
-  DEMON_TRACE_SPAN(span, telemetry, "tidlist-write", "io");
-  telemetry::ScopedTimer timer(
-      telemetry == nullptr ? nullptr
-                           : telemetry->histogram("tidlist/write_seconds"));
-  TidListLease lease = Lease();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  Status status = WriteContents(f, path);
-  if (std::fclose(f) != 0 && status.ok()) {
-    status = Status::IoError("close failed: " + path);
-  }
-  DEMON_RETURN_NOT_OK(status);
-  DEMON_COUNTER_ADD(telemetry->counter("tidlist/files_written"), 1);
-  DEMON_COUNTER_ADD(telemetry->counter("tidlist/slots_written"),
-                    item_list_slots_ + pair_list_slots_);
-  return Status::OK();
-}
-
-Result<std::shared_ptr<const BlockTidLists>> BlockTidLists::ReadFromFile(
-    const std::string& path) {
-  telemetry::TelemetryRegistry* telemetry =
-      telemetry::kEnabled ? &telemetry::TelemetryRegistry::Global() : nullptr;
-  DEMON_TRACE_SPAN(span, telemetry, "tidlist-read", "io");
-  telemetry::ScopedTimer timer(
-      telemetry == nullptr ? nullptr
-                           : telemetry->histogram("tidlist/read_seconds"));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
-  auto header = persistence::FileHeader::ReadFrom(
-      f, persistence::FormatId::kTidListBlock, kTidListBlockVersion, path);
-  if (!header.ok()) {
-    std::fclose(f);
-    return header.status();
-  }
-  std::fseek(f, 0, SEEK_END);
-  const uint64_t file_bytes = static_cast<uint64_t>(std::ftell(f));
-  std::fseek(f, static_cast<long>(persistence::FileHeader::kBytes), SEEK_SET);
-  auto lists = std::shared_ptr<BlockTidLists>(new BlockTidLists());
-  const Status corrupt = Status::DataLoss("corrupt TID-list file: " + path);
-
-  if (header.value().version == 1) {
-    // Legacy bulk uint32 dump: parse, then re-encode in memory.
-    const uint64_t max_slots = file_bytes / sizeof(uint32_t);
-    const uint64_t max_lists = file_bytes / sizeof(uint64_t);
-    uint64_t num_transactions = 0;
-    uint64_t num_items = 0;
-    uint64_t num_pairs = 0;
-    bool ok = ReadU64(f, &num_transactions) && ReadU64(f, &num_items) &&
-              ReadU64(f, &num_pairs) && num_items <= max_lists &&
-              num_pairs <= max_lists && num_transactions < UINT32_MAX;
-    std::vector<TidList> item_lists;
-    std::vector<std::pair<uint64_t, TidList>> pair_lists;
-    if (ok) {
-      lists->num_transactions_ = num_transactions;
-      item_lists.resize(num_items);
-      for (size_t i = 0; ok && i < num_items; ++i) {
-        ok = ReadList(f, &item_lists[i], max_slots);
-        if (ok) lists->item_list_slots_ += item_lists[i].size();
-      }
-      for (size_t p = 0; ok && p < num_pairs; ++p) {
-        uint64_t key = 0;
-        TidList list;
-        ok = ReadU64(f, &key) && ReadList(f, &list, max_slots);
-        if (ok) {
-          lists->pair_list_slots_ += list.size();
-          pair_lists.emplace_back(key, std::move(list));
-        }
-      }
-    }
-    std::fclose(f);
-    if (!ok) return corrupt;
-    // Re-encoding asserts offsets < universe; validate first to keep
-    // corrupt files on the DataLoss path instead of aborting.
-    for (const TidList& list : item_lists) {
-      for (size_t i = 0; i < list.size(); ++i) {
-        if ((i > 0 && list[i - 1] >= list[i]) ||
-            list[i] >= lists->num_transactions_) {
-          return corrupt;
-        }
-      }
-    }
-    for (const auto& [key, list] : pair_lists) {
-      for (size_t i = 0; i < list.size(); ++i) {
-        if ((i > 0 && list[i - 1] >= list[i]) ||
-            list[i] >= lists->num_transactions_) {
-          return corrupt;
-        }
-      }
-    }
-    std::sort(pair_lists.begin(), pair_lists.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    lists->EncodePayload(item_lists, pair_lists);
-  } else {
-    uint64_t num_transactions = 0;
-    uint64_t num_items = 0;
-    uint64_t num_pairs = 0;
-    uint64_t payload_bytes = 0;
-    bool ok = ReadU64(f, &num_transactions) && ReadU64(f, &num_items) &&
-              ReadU64(f, &num_pairs) && ReadU64(f, &payload_bytes) &&
-              num_items <= file_bytes / kItemEntryBytes &&
-              num_pairs <= file_bytes / kPairEntryBytes &&
-              payload_bytes <= file_bytes &&
-              num_transactions < UINT32_MAX;
-    if (ok) {
-      lists->num_transactions_ = num_transactions;
-      lists->items_.resize(num_items);
-      const auto read_extent = [&](Extent* ex) {
-        uint64_t offset = 0;
-        uint64_t bytes = 0;
-        uint32_t count = 0;
-        uint32_t encoding = 0;
-        if (!ReadU64(f, &offset) || !ReadU64(f, &bytes) ||
-            !ReadU32(f, &count) || !ReadU32(f, &encoding)) {
-          return false;
-        }
-        if (encoding >= kNumTidEncodings || offset > payload_bytes ||
-            bytes > payload_bytes - offset) {
-          return false;
-        }
-        ex->offset = offset;
-        ex->bytes = bytes;
-        ex->count = count;
-        ex->encoding = static_cast<TidEncoding>(encoding);
-        return true;
-      };
-      for (size_t i = 0; ok && i < num_items; ++i) {
-        ok = read_extent(&lists->items_[i]);
-        if (ok) lists->item_list_slots_ += lists->items_[i].count;
-      }
-      for (size_t p = 0; ok && p < num_pairs; ++p) {
-        uint64_t key = 0;
-        Extent ex;
-        ok = ReadU64(f, &key) && read_extent(&ex);
-        if (ok) {
-          const Item a = static_cast<Item>(key >> 32);
-          const Item b = static_cast<Item>(key & 0xFFFFFFFFu);
-          ok = a < b && b < num_items;
-        }
-        if (ok) {
-          lists->pair_list_slots_ += ex.count;
-          lists->pair_extents_.emplace(key, ex);
-        }
-      }
-    }
-    std::vector<uint8_t> payload_image;
-    if (ok) {
-      payload_image.resize(payload_bytes);
-      ok = payload_bytes == 0 ||
-           std::fread(payload_image.data(), 1, payload_bytes, f) ==
-               payload_bytes;
-    }
-    std::fclose(f);
-    if (!ok) return corrupt;
-    lists->AdoptPayload(std::move(payload_image));
-    // Decode-validate every extent: damaged payloads surface DataLoss here
-    // instead of garbage counts later.
-    TidList decoded;
-    for (size_t i = 0; i < lists->items_.size(); ++i) {
-      const Status status =
-          DecodeTidList(lists->ViewOf(lists->items_[i]), &decoded);
-      if (!status.ok()) return corrupt;
-    }
-    for (const auto& [key, ex] : lists->pair_extents_) {
-      const Status status = DecodeTidList(lists->ViewOf(ex), &decoded);
-      if (!status.ok()) return corrupt;
-    }
-  }
-  DEMON_COUNTER_ADD(telemetry->counter("tidlist/files_read"), 1);
-  DEMON_COUNTER_ADD(telemetry->counter("tidlist/slots_read"),
-                    lists->item_list_slots_ + lists->pair_list_slots_);
-  return std::shared_ptr<const BlockTidLists>(std::move(lists));
 }
 
 // ---------------------------------------------------------------------------
@@ -643,8 +375,7 @@ void BlockTidLists::AuditInto(audit::AuditResult* audit) const {
     if (ListStructureOk(decoded, num_transactions_)) {
       // Encoding is deterministic, so a stored extent must equal the
       // re-encoding of its own decode.
-      const EncodedTidList enc =
-          EncodeTidListAs(ex.encoding, decoded, universe());
+      const EncodedTidList enc = EncodeTidListAs(ex.encoding, decoded);
       const TidListView view = ViewOf(ex);
       const bool same =
           enc.bytes.size() == view.bytes &&
@@ -713,10 +444,10 @@ void BlockTidLists::AuditInto(audit::AuditResult* audit) const {
     const TidList expected = Intersect(la, lb);
     for (uint8_t ea = 0; ea < kNumTidEncodings; ++ea) {
       const EncodedTidList enc_a =
-          EncodeTidListAs(static_cast<TidEncoding>(ea), la, universe());
+          EncodeTidListAs(static_cast<TidEncoding>(ea), la);
       for (uint8_t eb = 0; eb < kNumTidEncodings; ++eb) {
         const EncodedTidList enc_b =
-            EncodeTidListAs(static_cast<TidEncoding>(eb), lb, universe());
+            EncodeTidListAs(static_cast<TidEncoding>(eb), lb);
         IntersectInto(enc_a.View(universe()), enc_b.View(universe()),
                       &kernel_out);
         AUDIT_CHECK(audit, kModule, "tidlist/kernel-agreement",

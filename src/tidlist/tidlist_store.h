@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/audit.h"
-#include "common/status.h"
 #include "common/sync.h"
 #include "common/telemetry.h"
 #include "data/block.h"
@@ -77,8 +76,8 @@ class TidListLease {
 /// representation of the block, so they *replace* it rather than duplicate
 /// it; pair lists are the "additional disk space" of ECUT+.
 ///
-/// Storage tiers: each list is encoded (raw / delta+varint / bitmap, by
-/// density — see tidlist_codec.h) into one contiguous per-block payload
+/// Storage tiers: each list is encoded (raw or delta+varint, whichever is
+/// smaller — see tidlist_codec.h) into one contiguous per-block payload
 /// extent. The directory (per-list encoding, cardinality, offset) is
 /// always resident and answers every metadata query — sizes, pair
 /// presence, slot accounting — without touching the payload, which is what
@@ -147,16 +146,6 @@ class BlockTidLists {
   /// Decoded copy of the pair list; HasPairList must be true.
   TidList MaterializePairList(Item a, Item b) const;
 
-  /// Serializes to a binary file (models the paper's on-disk TID-list
-  /// organization): directory plus encoded extents, byte-deterministic for
-  /// a given block. The same format backs the pager's spill files.
-  [[nodiscard]] Status WriteToFile(const std::string& path) const;
-
-  /// Reads a file written by WriteToFile. Every extent is decode-validated;
-  /// corruption or truncation yields DataLoss.
-  [[nodiscard]] static Result<std::shared_ptr<const BlockTidLists>>
-  ReadFromFile(const std::string& path);
-
   /// Deep structural audit (paper §3.1.1's representation invariants):
   /// every decoded list sorted strictly increasing with offsets in range,
   /// directory cardinalities exact, slot accounting exact, every
@@ -210,18 +199,6 @@ class BlockTidLists {
       const std::vector<std::pair<uint64_t, TidList>>& pair_lists,
       size_t force_raw_item = SIZE_MAX) DEMON_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Installs an already-encoded payload image (ReadFromFile's v2 path).
-  /// Analysis is off for the same reason as EncodePayload: the block is
-  /// not yet published, so no lock exists to hold.
-  void AdoptPayload(std::vector<uint8_t> payload)
-      DEMON_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Byte offset of the payload extent inside a WriteToFile image.
-  uint64_t PayloadFileOffset() const;
-  /// Writes the v2 directory + payload to `f`; payload must be resident.
-  [[nodiscard]] Status WriteContents(std::FILE* f,
-                                     const std::string& path) const;
-
   // Pager plumbing. Pin/Unpin are cheap no-ops when pager_ is null.
   const BlockTidLists* Pin() const;
   void Unpin() const;
@@ -237,8 +214,9 @@ class BlockTidLists {
   /// Mmaps (or reads) the spill file back in.
   void FaultIn(const ExtentPager& pager, const std::string& spill_path) const
       DEMON_REQUIRES(pager.mutex_);
-  /// Writes the spill file image (idempotent content: the payload is
-  /// immutable).
+  /// Writes the spill file: the payload bytes alone, at offset 0 (the
+  /// directory never leaves memory). Idempotent content: the payload is
+  /// immutable.
   void Spill(const ExtentPager& pager, const std::string& path) const
       DEMON_REQUIRES(pager.mutex_);
   /// Frees the resident payload (munmap or free).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 
 #include "common/random.h"
@@ -133,6 +135,17 @@ TEST(TidListFileTest, PairListsRoundTrip) {
   TidList dummy;
   EXPECT_EQ(reader.ReadPairList(78, 79, &dummy).code(),
             StatusCode::kNotFound);
+}
+
+TEST(TidListFileTest, FullDiskIsIoError) {
+  // Every write to /dev/full fails with ENOSPC. A block this small sits in
+  // the stdio buffer until fclose, so only the close can report it.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const TransactionBlock block(
+      {Transaction({0, 2}), Transaction({1, 2}), Transaction({0, 1, 2})}, 0);
+  const auto lists = BlockTidLists::Build(block, 3);
+  const Status status = TidListFile::Write(*lists, "/dev/full");
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status;
 }
 
 TEST(DiskCountingTest, MatchesInMemoryCounting) {

@@ -53,10 +53,10 @@ TEST(TidListCodecTest, EdgeListsRoundTripUnderEveryEncoding) {
   };
   for (const TidList& list : cases) {
     for (const TidEncoding encoding :
-         {TidEncoding::kRaw, TidEncoding::kDelta, TidEncoding::kBitmap}) {
-      const EncodedTidList encoded = EncodeTidListAs(encoding, list, universe);
+         {TidEncoding::kRaw, TidEncoding::kDelta}) {
+      const EncodedTidList encoded = EncodeTidListAs(encoding, list);
       EXPECT_EQ(encoded.bytes.size(),
-                EncodedTidListBytes(encoding, list, universe));
+                EncodedTidListBytes(encoding, list));
       // Trusting decode and validating decode agree with the input.
       TidList materialized;
       MaterializeInto(encoded.View(universe), &materialized);
@@ -72,54 +72,54 @@ TEST(TidListCodecTest, RandomizedRoundTripsAreBitIdentical) {
     const uint32_t universe = 1 + static_cast<uint32_t>(rng.NextUint64(5000));
     const TidList list = RandomSortedList(&rng, universe, 400);
     for (const TidEncoding encoding :
-         {TidEncoding::kRaw, TidEncoding::kDelta, TidEncoding::kBitmap}) {
-      const EncodedTidList encoded = EncodeTidListAs(encoding, list, universe);
+         {TidEncoding::kRaw, TidEncoding::kDelta}) {
+      const EncodedTidList encoded = EncodeTidListAs(encoding, list);
       EXPECT_EQ(Validated(encoded, universe), list);
       // Re-encoding the decoded list reproduces the bytes exactly — the
       // property the spill files and checkpoint determinism rest on.
       const EncodedTidList again =
-          EncodeTidListAs(encoding, Validated(encoded, universe), universe);
+          EncodeTidListAs(encoding, Validated(encoded, universe));
       EXPECT_EQ(again.bytes, encoded.bytes);
     }
-    // The auto-selected encoding is the smallest of the three.
-    const EncodedTidList best = EncodeTidList(list, universe);
+    // The auto-selected encoding is the smaller of the two.
+    const EncodedTidList best = EncodeTidList(list);
     for (const TidEncoding encoding :
-         {TidEncoding::kRaw, TidEncoding::kDelta, TidEncoding::kBitmap}) {
+         {TidEncoding::kRaw, TidEncoding::kDelta}) {
       EXPECT_LE(best.bytes.size(),
-                EncodedTidListBytes(encoding, list, universe));
+                EncodedTidListBytes(encoding, list));
     }
   }
 }
 
 TEST(TidListCodecTest, AdversarialGapsNearUint32MaxRoundTrip) {
   // Varint gaps of up to 32 bits and offsets at the top of the u32 range.
-  // Bitmap is excluded: a 4-billion universe would allocate a 512MB bitset
-  // (and the density heuristic would never choose it for 7 tids).
   const uint32_t universe = UINT32_MAX;
   const TidList list = {0,          1,          127,        128,
                         0x0FFFFFFF, 0xFFFFFFF0, 0xFFFFFFFE};
   for (const TidEncoding encoding : {TidEncoding::kRaw, TidEncoding::kDelta}) {
-    const EncodedTidList encoded = EncodeTidListAs(encoding, list, universe);
+    const EncodedTidList encoded = EncodeTidListAs(encoding, list);
     EXPECT_EQ(Validated(encoded, universe), list) << TidEncodingName(encoding);
   }
-  const EncodedTidList best = EncodeTidList(list, universe);
-  EXPECT_NE(best.encoding, TidEncoding::kBitmap);
-  EXPECT_EQ(Validated(best, universe), list);
+  EXPECT_EQ(Validated(EncodeTidList(list), universe), list);
 }
 
 TEST(TidListCodecTest, DensityHeuristicPicksExpectedEncodings) {
   const uint32_t universe = 64000;
-  // 3 tids over 64000: delta (few bytes) beats raw (12) and bitmap (8000).
-  EXPECT_EQ(EncodeTidList({10, 20, 30}, universe).encoding,
-            TidEncoding::kDelta);
-  // Every other transaction: 32000 tids. Raw = 128000B, bitmap = 8000B.
+  // 3 tids over 64000: delta (3 bytes) beats raw (12).
+  EXPECT_EQ(EncodeTidList({10, 20, 30}).encoding, TidEncoding::kDelta);
+  // Every other transaction: 32000 tids. Raw = 128000B, delta = 32000B.
   TidList dense;
   for (uint32_t i = 0; i < universe; i += 2) dense.push_back(i);
-  EXPECT_EQ(EncodeTidList(dense, universe).encoding, TidEncoding::kBitmap);
+  EXPECT_EQ(EncodeTidList(dense).encoding, TidEncoding::kDelta);
   // Consecutive small offsets: delta gaps of 1 are 1 byte each.
   TidList run;
   for (uint32_t i = 0; i < 100; ++i) run.push_back(i);
-  EXPECT_EQ(EncodeTidList(run, universe).encoding, TidEncoding::kDelta);
+  EXPECT_EQ(EncodeTidList(run).encoding, TidEncoding::kDelta);
+  // Gaps wider than 2^21 need 4-byte varints: delta ties raw, and ties
+  // prefer raw. The empty list ties at 0 bytes and stays raw as well.
+  EXPECT_EQ(EncodeTidList({1u << 22, 2u << 22, 3u << 22}).encoding,
+            TidEncoding::kRaw);
+  EXPECT_EQ(EncodeTidList({}).encoding, TidEncoding::kRaw);
 }
 
 // ---------------------------------------------------------------------------
@@ -129,10 +129,10 @@ TEST(TidListCodecTest, TruncatedExtentsAreDataLoss) {
   Rng rng(99);
   const uint32_t universe = 3000;
   for (const TidEncoding encoding :
-       {TidEncoding::kRaw, TidEncoding::kDelta, TidEncoding::kBitmap}) {
+       {TidEncoding::kRaw, TidEncoding::kDelta}) {
     const TidList list = RandomSortedList(&rng, universe, 300);
     if (list.empty()) continue;
-    EncodedTidList encoded = EncodeTidListAs(encoding, list, universe);
+    EncodedTidList encoded = EncodeTidListAs(encoding, list);
     ASSERT_FALSE(encoded.bytes.empty());
     encoded.bytes.pop_back();
     TidList out;
@@ -146,8 +146,8 @@ TEST(TidListCodecTest, CardinalityMismatchesAreDataLoss) {
   const uint32_t universe = 500;
   const TidList list = {3, 9, 77, 401};
   for (const TidEncoding encoding :
-       {TidEncoding::kRaw, TidEncoding::kDelta, TidEncoding::kBitmap}) {
-    EncodedTidList encoded = EncodeTidListAs(encoding, list, universe);
+       {TidEncoding::kRaw, TidEncoding::kDelta}) {
+    EncodedTidList encoded = EncodeTidListAs(encoding, list);
     encoded.num_tids += 1;
     TidList out;
     EXPECT_EQ(DecodeTidList(encoded.View(universe), &out).code(),
@@ -155,7 +155,7 @@ TEST(TidListCodecTest, CardinalityMismatchesAreDataLoss) {
         << TidEncodingName(encoding);
   }
   // A cardinality larger than the universe is structurally impossible.
-  EncodedTidList encoded = EncodeTidListAs(TidEncoding::kRaw, list, universe);
+  EncodedTidList encoded = EncodeTidListAs(TidEncoding::kRaw, list);
   encoded.num_tids = universe + 1;
   TidList out;
   EXPECT_EQ(DecodeTidList(encoded.View(universe), &out).code(),
@@ -189,7 +189,7 @@ TEST(TidListCodecTest, OutOfOrderAndOutOfRangeBytesAreDataLoss) {
   }
   {
     // Delta whose gaps overrun the universe.
-    EncodedTidList encoded = EncodeTidListAs(TidEncoding::kDelta, {90}, 100);
+    EncodedTidList encoded = EncodeTidListAs(TidEncoding::kDelta, {90});
     encoded.bytes.push_back(90);  // second value = 180 > universe
     encoded.num_tids = 2;
     EXPECT_EQ(DecodeTidList(encoded.View(universe), &out).code(),
@@ -197,7 +197,7 @@ TEST(TidListCodecTest, OutOfOrderAndOutOfRangeBytesAreDataLoss) {
   }
   {
     // Delta with a zero gap (duplicate value).
-    EncodedTidList encoded = EncodeTidListAs(TidEncoding::kDelta, {7}, 100);
+    EncodedTidList encoded = EncodeTidListAs(TidEncoding::kDelta, {7});
     encoded.bytes.push_back(0);
     encoded.num_tids = 2;
     EXPECT_EQ(DecodeTidList(encoded.View(universe), &out).code(),
@@ -205,30 +205,33 @@ TEST(TidListCodecTest, OutOfOrderAndOutOfRangeBytesAreDataLoss) {
   }
   {
     // Delta with trailing garbage after the announced cardinality.
-    EncodedTidList encoded = EncodeTidListAs(TidEncoding::kDelta, {7, 9}, 100);
+    EncodedTidList encoded = EncodeTidListAs(TidEncoding::kDelta, {7, 9});
     encoded.bytes.push_back(3);
     EXPECT_EQ(DecodeTidList(encoded.View(universe), &out).code(),
               StatusCode::kDataLoss);
   }
-  {
-    // Bitmap with a bit set outside the universe (rounding slack bits).
-    TidList all;
-    for (uint32_t i = 0; i < 70; ++i) all.push_back(i);
-    EncodedTidList encoded = EncodeTidListAs(TidEncoding::kBitmap, all, 100);
-    encoded.bytes[15] |= 0x80;  // bit 127 >= universe 100
-    encoded.num_tids += 1;      // keep the popcount consistent
-    EXPECT_EQ(DecodeTidList(encoded.View(100), &out).code(),
-              StatusCode::kDataLoss);
+}
+
+TEST(TidListCodecTest, RetiredAndUnknownEncodingValuesAreDataLoss) {
+  // Value 2 was the dense bitmap encoding. These bytes are a well-formed
+  // bitmap of {1, 5} over a 64-offset universe, so only the encoding value
+  // itself can make the decoder refuse them.
+  const uint8_t bitmap[8] = {0x22, 0, 0, 0, 0, 0, 0, 0};
+  for (const uint8_t value : {uint8_t{2}, uint8_t{3}, uint8_t{255}}) {
+    const TidListView view{static_cast<TidEncoding>(value), 2, 64, bitmap,
+                           sizeof(bitmap)};
+    TidList out;
+    EXPECT_EQ(DecodeTidList(view, &out).code(), StatusCode::kDataLoss)
+        << "encoding value " << int{value};
   }
 }
 
 // ---------------------------------------------------------------------------
-// Cross-encoding kernel agreement: all 9 pairs match std::set_intersection.
+// Cross-encoding kernel agreement: all 4 pairs match std::set_intersection.
 
 TEST(TidListCodecTest, AllKernelPairsMatchSetIntersection) {
   Rng rng(777);
-  const TidEncoding encodings[] = {TidEncoding::kRaw, TidEncoding::kDelta,
-                                   TidEncoding::kBitmap};
+  const TidEncoding encodings[] = {TidEncoding::kRaw, TidEncoding::kDelta};
   for (int round = 0; round < 60; ++round) {
     const uint32_t universe = 1 + static_cast<uint32_t>(rng.NextUint64(2000));
     const TidList a = RandomSortedList(&rng, universe, 250);
@@ -237,12 +240,16 @@ TEST(TidListCodecTest, AllKernelPairsMatchSetIntersection) {
     std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                           std::back_inserter(expected));
     for (const TidEncoding ea : encodings) {
-      const EncodedTidList enc_a = EncodeTidListAs(ea, a, universe);
+      const EncodedTidList enc_a = EncodeTidListAs(ea, a);
       for (const TidEncoding eb : encodings) {
-        const EncodedTidList enc_b = EncodeTidListAs(eb, b, universe);
+        const EncodedTidList enc_b = EncodeTidListAs(eb, b);
         TidList out;
         IntersectInto(enc_a.View(universe), enc_b.View(universe), &out);
         EXPECT_EQ(out, expected)
+            << TidEncodingName(ea) << " x " << TidEncodingName(eb);
+        // The size-only twin counts the same intersection.
+        EXPECT_EQ(IntersectSize(enc_a.View(universe), enc_b.View(universe)),
+                  expected.size())
             << TidEncodingName(ea) << " x " << TidEncodingName(eb);
         // The raw-left fold overload agrees as well.
         IntersectInto(a, enc_b.View(universe), &out);
@@ -263,8 +270,7 @@ TEST(TidListCodecTest, ViewLevelIntersectionSizeMatchesRawLevel) {
       lists.push_back(RandomSortedList(&rng, universe, 300));
       // Cycle deliberately through all encodings regardless of density.
       encoded.push_back(EncodeTidListAs(
-          static_cast<TidEncoding>(i % kNumTidEncodings), lists.back(),
-          universe));
+          static_cast<TidEncoding>(i % kNumTidEncodings), lists.back()));
     }
     std::vector<const TidList*> raw_ptrs;
     std::vector<TidListView> views;

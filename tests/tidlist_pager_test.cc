@@ -3,7 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -15,7 +15,6 @@
 #include "data/block.h"
 #include "datagen/quest_generator.h"
 #include "itemsets/counting_context.h"
-#include "persistence/file_header.h"
 #include "tidlist/extent_pager.h"
 #include "tidlist/tidlist_store.h"
 
@@ -61,19 +60,6 @@ std::vector<Itemset> SampleItemsets(size_t count, uint64_t seed) {
     itemsets.push_back(Itemset(items.begin(), items.end()));
   }
   return itemsets;
-}
-
-std::string FileBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  std::string bytes;
-  char chunk[4096];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.append(chunk, got);
-  }
-  std::fclose(f);
-  return bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -287,145 +273,66 @@ TEST(ExtentPagerTest, PagersSharingASpillDirectoryDoNotCollide) {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence: the v2 format and the legacy v1 reader.
+// Spill files: the payload bytes alone, faulted back in unchanged.
 
-TEST(TidListBlockFileTest, V2WritesAreByteDeterministicEvenWhenEvicted) {
+TEST(ExtentPagerTest, SpillRoundTripKeepsListsAndEncodingsExact) {
   const auto blocks = MakeBlocks(3, 300, 13);
   PairMaterializationSpec pairs;
   pairs.pairs = {{0, 1}, {2, 3}};
+  const std::string spill_dir =
+      ::testing::TempDir() + "/demon-spill-roundtrip";
 
   TidListStore unbounded{TidListStoreOptions{}};
   FillStore(blocks, &unbounded, &pairs);
-  TidListStoreOptions options;
-  options.memory_budget_bytes = 256;  // evicts everything not in use
-  TidListStore budgeted(options);
-  FillStore(blocks, &budgeted, &pairs);
+  {
+    TidListStoreOptions options;
+    options.memory_budget_bytes = 256;  // evicts everything not in use
+    options.spill_dir = spill_dir;
+    TidListStore budgeted(options);
+    FillStore(blocks, &budgeted, &pairs);
+    // Touching the first block evicts (and spills) the last one, so every
+    // block has been through the spill file.
+    (void)budgeted.block(0).MaterializeItemList(0);
+    EXPECT_EQ(budgeted.pager()->spills(), blocks.size());
 
-  const std::string path_a = ::testing::TempDir() + "/tidlists_a.bin";
-  const std::string path_b = ::testing::TempDir() + "/tidlists_b.bin";
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    // WriteToFile takes its own lease, so it works on evicted blocks, and
-    // the bytes never depend on the budget or residency history.
-    ASSERT_TRUE(unbounded.block(b).WriteToFile(path_a).ok());
-    ASSERT_TRUE(budgeted.block(b).WriteToFile(path_b).ok());
-    EXPECT_EQ(FileBytes(path_a), FileBytes(path_b)) << "block " << b;
-
-    auto reread = BlockTidLists::ReadFromFile(path_b);
-    ASSERT_TRUE(reread.ok()) << reread.status();
-    const BlockTidLists& loaded = *reread.value();
-    EXPECT_EQ(loaded.num_transactions(),
-              unbounded.block(b).num_transactions());
-    for (Item item = 0; item < kNumItems; ++item) {
-      EXPECT_EQ(loaded.MaterializeItemList(item),
-                unbounded.block(b).MaterializeItemList(item));
+    // A spill file is exactly the block's payload: no header, no
+    // directory (that stays resident).
+    std::multiset<uintmax_t> spill_sizes;
+    for (const auto& entry : std::filesystem::directory_iterator(spill_dir)) {
+      spill_sizes.insert(entry.file_size());
     }
-    EXPECT_TRUE(loaded.HasPairList(0, 1));
-    EXPECT_EQ(loaded.MaterializePairList(0, 1),
-              unbounded.block(b).MaterializePairList(0, 1));
+    std::multiset<uintmax_t> payload_sizes;
+    for (const auto& block : budgeted.blocks()) {
+      payload_sizes.insert(block->payload_bytes());
+    }
+    EXPECT_EQ(spill_sizes, payload_sizes);
+
+    // Two evict/fault-in cycles: every list, its encoding and the census
+    // match the never-evicted store.
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      for (size_t b = 0; b < blocks.size(); ++b) {
+        const BlockTidLists& got = budgeted.block(b);
+        const BlockTidLists& want = unbounded.block(b);
+        EXPECT_EQ(got.payload_bytes(), want.payload_bytes());
+        for (uint8_t e = 0; e < kNumTidEncodings; ++e) {
+          const auto encoding = static_cast<TidEncoding>(e);
+          EXPECT_EQ(got.EncodingCensus(encoding),
+                    want.EncodingCensus(encoding));
+        }
+        for (Item item = 0; item < kNumItems; ++item) {
+          EXPECT_EQ(got.ItemListEncoding(item), want.ItemListEncoding(item));
+          EXPECT_EQ(got.MaterializeItemList(item),
+                    want.MaterializeItemList(item))
+              << "cycle " << cycle << " block " << b << " item " << item;
+        }
+        ASSERT_TRUE(got.HasPairList(0, 1));
+        EXPECT_EQ(got.MaterializePairList(0, 1), want.MaterializePairList(0, 1));
+        EXPECT_EQ(got.MaterializePairList(2, 3), want.MaterializePairList(2, 3));
+      }
+    }
+    EXPECT_GT(budgeted.pager()->page_ins(), 0u);
   }
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-}
-
-namespace v1 {
-
-bool WriteU64(std::FILE* f, uint64_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool WriteList(std::FILE* f, const TidList& list) {
-  if (!WriteU64(f, list.size())) return false;
-  return list.empty() ||
-         std::fwrite(list.data(), sizeof(uint32_t), list.size(), f) ==
-             list.size();
-}
-
-/// Emits the legacy bulk-dump layout: header v1, then counts, then
-/// length-prefixed uint32 lists (items, then key+list pairs).
-void WriteFile(const std::string& path, size_t num_transactions,
-               const std::vector<TidList>& item_lists,
-               const std::vector<std::pair<uint64_t, TidList>>& pair_lists) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  persistence::FileHeader header;
-  header.format_id =
-      static_cast<uint32_t>(persistence::FormatId::kTidListBlock);
-  header.version = 1;
-  ASSERT_TRUE(header.WriteTo(f).ok());
-  ASSERT_TRUE(WriteU64(f, num_transactions));
-  ASSERT_TRUE(WriteU64(f, item_lists.size()));
-  ASSERT_TRUE(WriteU64(f, pair_lists.size()));
-  for (const TidList& list : item_lists) ASSERT_TRUE(WriteList(f, list));
-  for (const auto& [key, list] : pair_lists) {
-    ASSERT_TRUE(WriteU64(f, key));
-    ASSERT_TRUE(WriteList(f, list));
-  }
-  std::fclose(f);
-}
-
-}  // namespace v1
-
-TEST(TidListBlockFileTest, LegacyV1FilesAreReadAndReencoded) {
-  const std::string path = ::testing::TempDir() + "/tidlists_v1.bin";
-  const std::vector<TidList> item_lists = {
-      {0, 2, 9}, {}, {1, 2, 3, 4, 5, 6, 7, 8, 9}};
-  const uint64_t key = (uint64_t{0} << 32) | 2;  // pair {0, 2}
-  v1::WriteFile(path, 10, item_lists, {{key, TidList{2, 9}}});
-
-  auto result = BlockTidLists::ReadFromFile(path);
-  ASSERT_TRUE(result.ok()) << result.status();
-  const BlockTidLists& lists = *result.value();
-  EXPECT_EQ(lists.num_transactions(), 10u);
-  EXPECT_EQ(lists.num_items(), 3u);
-  for (size_t i = 0; i < item_lists.size(); ++i) {
-    EXPECT_EQ(lists.MaterializeItemList(static_cast<Item>(i)), item_lists[i]);
-  }
-  ASSERT_TRUE(lists.HasPairList(0, 2));
-  EXPECT_EQ(lists.MaterializePairList(0, 2), (TidList{2, 9}));
-  // Writing it back produces the current (v2) format.
-  const std::string v2_path = ::testing::TempDir() + "/tidlists_v1_up.bin";
-  ASSERT_TRUE(lists.WriteToFile(v2_path).ok());
-  auto reread = BlockTidLists::ReadFromFile(v2_path);
-  ASSERT_TRUE(reread.ok()) << reread.status();
-  EXPECT_EQ(reread.value()->MaterializeItemList(2), item_lists[2]);
-  std::remove(path.c_str());
-  std::remove(v2_path.c_str());
-}
-
-TEST(TidListBlockFileTest, CorruptV1FilesAreDataLossNotAborts) {
-  const std::string path = ::testing::TempDir() + "/tidlists_v1_bad.bin";
-  // Unsorted item list: must be rejected before re-encoding (a bitmap
-  // encode of it would otherwise trip an internal check).
-  v1::WriteFile(path, 10, {{5, 3, 1}}, {});
-  auto unsorted = BlockTidLists::ReadFromFile(path);
-  EXPECT_EQ(unsorted.status().code(), StatusCode::kDataLoss);
-  // Offset beyond the transaction count.
-  v1::WriteFile(path, 4, {{1, 9}}, {});
-  auto out_of_range = BlockTidLists::ReadFromFile(path);
-  EXPECT_EQ(out_of_range.status().code(), StatusCode::kDataLoss);
-  std::remove(path.c_str());
-}
-
-TEST(TidListBlockFileTest, TruncatedV2FilesAreDataLoss) {
-  const auto blocks = MakeBlocks(1, 200, 3);
-  auto lists = BlockTidLists::Build(*blocks[0], kNumItems);
-  const std::string path = ::testing::TempDir() + "/tidlists_trunc.bin";
-  ASSERT_TRUE(lists->WriteToFile(path).ok());
-  const std::string bytes = FileBytes(path);
-  // Chop the file at several depths: inside the payload, inside the
-  // directory, and inside the counts. Every cut must read as DataLoss.
-  for (const size_t keep :
-       {bytes.size() - 3, bytes.size() / 2, persistence::FileHeader::kBytes + 9,
-        size_t{11}}) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, keep, f), keep);
-    std::fclose(f);
-    auto result = BlockTidLists::ReadFromFile(path);
-    EXPECT_FALSE(result.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << keep;
-  }
-  std::remove(path.c_str());
+  EXPECT_EQ(::rmdir(spill_dir.c_str()), 0);
 }
 
 }  // namespace

@@ -3,15 +3,42 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <iterator>
 #include <set>
 
 #include "common/random.h"
-#include "datagen/quest_generator.h"
 #include "tidlist/tidlist_store.h"
 
 namespace demon {
 namespace {
+
+TidList Reference(const TidList& a, const TidList& b) {
+  TidList expected;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(expected));
+  return expected;
+}
+
+/// Sorted unique list of `n` values drawn from [0, universe).
+TidList RandomList(Rng* rng, size_t n, uint32_t universe) {
+  std::set<uint32_t> values;
+  while (values.size() < n) {
+    values.insert(static_cast<uint32_t>(rng->NextUint64(universe)));
+  }
+  return TidList(values.begin(), values.end());
+}
+
+/// Checks the storing and the size-only raw merge against the oracle, in
+/// both argument orders (the kernels reorder by size internally).
+void ExpectMergesMatchOracle(const TidList& a, const TidList& b) {
+  const TidList expected = Reference(a, b);
+  EXPECT_EQ(Intersect(a, b), expected);
+  EXPECT_EQ(Intersect(b, a), expected);
+  EXPECT_EQ(IntersectRawSize(a.data(), a.size(), b.data(), b.size()),
+            expected.size());
+  EXPECT_EQ(IntersectRawSize(b.data(), b.size(), a.data(), a.size()),
+            expected.size());
+}
 
 TEST(TidListTest, IntersectBasics) {
   EXPECT_EQ(Intersect({1, 3, 5}, {2, 3, 5, 7}), (TidList{3, 5}));
@@ -19,6 +46,13 @@ TEST(TidListTest, IntersectBasics) {
   EXPECT_EQ(Intersect({1, 2}, {}), TidList{});
   EXPECT_EQ(Intersect({1, 2, 3}, {1, 2, 3}), (TidList{1, 2, 3}));
   EXPECT_EQ(Intersect({1, 2}, {3, 4}), TidList{});
+  // Values at the top of the 32-bit range: the merge compares unsigned.
+  const TidList high_a = {0, 1, 5, 0x7fffffffu, 0x80000000u, 0xfffffff0u,
+                          0xfffffffeu, 0xffffffffu};
+  const TidList high_b = {1, 2, 0x7fffffffu, 0x80000001u, 0xfffffff0u,
+                          0xffffffffu};
+  ExpectMergesMatchOracle(high_a, high_b);
+  ExpectMergesMatchOracle(high_a, high_a);
 }
 
 TEST(TidListTest, GallopingPathMatchesMerge) {
@@ -46,12 +80,17 @@ TEST(TidListTest, RandomizedAgainstSetIntersection) {
     for (size_t i = 0; i < nb; ++i) {
       sb.insert(static_cast<uint32_t>(rng.NextUint64(500)));
     }
-    TidList a(sa.begin(), sa.end());
-    TidList b(sb.begin(), sb.end());
-    TidList expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    EXPECT_EQ(Intersect(a, b), expected);
+    ExpectMergesMatchOracle(TidList(sa.begin(), sa.end()),
+                            TidList(sb.begin(), sb.end()));
+  }
+  // Densities from ~0.1% to ~80% of the universe, storing and size-only.
+  for (const uint32_t universe : {64u, 1024u, 65536u}) {
+    for (int round = 0; round < 8; ++round) {
+      const size_t na = 1 + rng.NextUint64(universe * 4 / 5);
+      const size_t nb = 1 + rng.NextUint64(universe * 4 / 5);
+      ExpectMergesMatchOracle(RandomList(&rng, na, universe),
+                              RandomList(&rng, nb, universe));
+    }
   }
 }
 
@@ -79,6 +118,13 @@ TEST(TidListTest, IntersectIntoEdgeCases) {
   EXPECT_EQ(out, (TidList{1, 2, 3, 4}));
   IntersectInto({1}, {2}, &out);
   EXPECT_TRUE(out.empty());
+  // The size-only merge agrees on every empty and single-element shape.
+  const TidList one = {42};
+  const TidList other = {7};
+  ExpectMergesMatchOracle(empty, empty);
+  ExpectMergesMatchOracle(empty, one);
+  ExpectMergesMatchOracle(one, one);
+  ExpectMergesMatchOracle(one, other);
 }
 
 TEST(TidListTest, GallopingThresholdBoundary) {
@@ -127,14 +173,20 @@ TEST(TidListTest, GallopingMatchesMergeOnRandomInputs) {
     }
     slarge.insert(4999);
     slarge.insert(0);
-    TidList small(ssmall.begin(), ssmall.end());
-    TidList large(slarge.begin(), slarge.end());
-    TidList expected;
-    std::set_intersection(small.begin(), small.end(), large.begin(),
-                          large.end(), std::back_inserter(expected));
-    EXPECT_EQ(Intersect(small, large), expected);
-    EXPECT_EQ(Intersect(large, small), expected);
+    ExpectMergesMatchOracle(TidList(ssmall.begin(), ssmall.end()),
+                            TidList(slarge.begin(), slarge.end()));
   }
+  // small * kGallopRatio << large over a wide universe; then again with
+  // hits made certain.
+  const TidList small = RandomList(&rng, 12, 1u << 20);
+  const TidList large = RandomList(&rng, 4096, 1u << 20);
+  ExpectMergesMatchOracle(small, large);
+  TidList with_hits = large;
+  for (size_t i = 0; i < small.size(); i += 2) with_hits.push_back(small[i]);
+  std::sort(with_hits.begin(), with_hits.end());
+  with_hits.erase(std::unique(with_hits.begin(), with_hits.end()),
+                  with_hits.end());
+  ExpectMergesMatchOracle(small, with_hits);
 }
 
 TEST(TidListTest, IntersectionSizeWithScratchReuse) {
@@ -212,40 +264,6 @@ TEST(BlockTidListsTest, PairBudgetTakesPriorityOrder) {
   EXPECT_FALSE(lists->HasPairList(0, 2));
   EXPECT_FALSE(lists->HasPairList(1, 2));
   EXPECT_LE(lists->pair_list_slots(), 4u);
-}
-
-TEST(BlockTidListsTest, FilePersistenceRoundTrip) {
-  QuestParams params;
-  params.num_transactions = 500;
-  params.num_items = 60;
-  params.num_patterns = 30;
-  QuestGenerator gen(params);
-  const TransactionBlock block = gen.GenerateAll();
-  PairMaterializationSpec spec;
-  spec.pairs = {{1, 2}, {3, 4}};
-  auto lists = BlockTidLists::Build(block, params.num_items, &spec);
-
-  const std::string path = ::testing::TempDir() + "/tidlists.bin";
-  ASSERT_TRUE(lists->WriteToFile(path).ok());
-  auto reread = BlockTidLists::ReadFromFile(path);
-  ASSERT_TRUE(reread.ok()) << reread.status();
-  const auto& loaded = *reread.value();
-  EXPECT_EQ(loaded.num_transactions(), lists->num_transactions());
-  EXPECT_EQ(loaded.item_list_slots(), lists->item_list_slots());
-  EXPECT_EQ(loaded.pair_list_slots(), lists->pair_list_slots());
-  for (Item item = 0; item < params.num_items; ++item) {
-    EXPECT_EQ(loaded.ItemListEncoding(item), lists->ItemListEncoding(item));
-    EXPECT_EQ(loaded.MaterializeItemList(item), lists->MaterializeItemList(item));
-  }
-  ASSERT_TRUE(loaded.HasPairList(1, 2));
-  EXPECT_EQ(loaded.MaterializePairList(1, 2), lists->MaterializePairList(1, 2));
-  std::remove(path.c_str());
-}
-
-TEST(BlockTidListsTest, ReadMissingFileFails) {
-  auto result = BlockTidLists::ReadFromFile("/nonexistent/file.bin");
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST(TidListStoreTest, AppendAndDrop) {

@@ -137,6 +137,14 @@ TEST(TransactionFileTest, TruncatedPayloadIsDataLoss) {
   std::remove(path.c_str());
 }
 
+TEST(TransactionFileTest, FullDiskIsIoError) {
+  // Every write to /dev/full fails with ENOSPC. A block this small sits in
+  // the stdio buffer until fclose, so only the close can report it.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const Status status = TransactionFile::Write(SampleBlock(), "/dev/full");
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status;
+}
+
 TEST(TransactionFileTest, ScannerReportsCountAndBytes) {
   const TransactionBlock block = SampleBlock();
   const std::string path = TempPath("tx_scan.bin");

@@ -34,9 +34,9 @@ struct TidListStoreOptions {
   static TidListStoreOptions FromEnv();
 };
 
-/// \brief Spills cold per-block TID-list extents to FileHeader-framed
-/// files and mmaps them back on demand, keeping resident bytes under the
-/// budget with LRU eviction.
+/// \brief Spills cold per-block TID-list payloads to files (the payload
+/// bytes alone) and mmaps them back on demand, keeping resident bytes under
+/// the budget with LRU eviction.
 ///
 /// One pager serves one TidListStore (and its copies — GEMM's cloned
 /// histories share blocks, so they must share the pager that accounts

@@ -259,6 +259,30 @@ TEST(TidListCodecTest, AllKernelPairsMatchSetIntersection) {
   }
 }
 
+// The view-level pairwise IntersectSize is the final-fold kernel of every
+// k-way count; it must agree with the oracle for every encoding pair on
+// lists covering up to half a 4096-transaction block.
+TEST(SimdKernelsTest, ViewIntersectSizeMatchesOracleForAllEncodingPairs) {
+  Rng rng(17);
+  const uint32_t universe = 4096;
+  for (int round = 0; round < 6; ++round) {
+    const TidList a = RandomSortedList(&rng, universe, universe / 2);
+    const TidList b = RandomSortedList(&rng, universe, universe / 2);
+    TidList expected;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(expected));
+    for (const TidEncoding ea : {TidEncoding::kRaw, TidEncoding::kDelta}) {
+      for (const TidEncoding eb : {TidEncoding::kRaw, TidEncoding::kDelta}) {
+        const EncodedTidList enc_a = EncodeTidListAs(ea, a);
+        const EncodedTidList enc_b = EncodeTidListAs(eb, b);
+        EXPECT_EQ(IntersectSize(enc_a.View(universe), enc_b.View(universe)),
+                  expected.size())
+            << TidEncodingName(ea) << " x " << TidEncodingName(eb);
+      }
+    }
+  }
+}
+
 TEST(TidListCodecTest, ViewLevelIntersectionSizeMatchesRawLevel) {
   Rng rng(31337);
   for (int round = 0; round < 40; ++round) {

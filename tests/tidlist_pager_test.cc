@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -275,7 +277,19 @@ TEST(ExtentPagerTest, PagersSharingASpillDirectoryDoNotCollide) {
 // ---------------------------------------------------------------------------
 // Spill files: the payload bytes alone, faulted back in unchanged.
 
-TEST(ExtentPagerTest, SpillRoundTripKeepsListsAndEncodingsExact) {
+/// Contents of every file in `dir`, as a multiset (spill file names carry
+/// per-pager sequence numbers, so only the contents are comparable).
+std::multiset<std::string> SpillFileContents(const std::string& dir) {
+  std::multiset<std::string> contents;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    contents.insert(std::string(std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>()));
+  }
+  return contents;
+}
+
+TEST(BlockTidListsTest, FilePersistenceRoundTrip) {
   const auto blocks = MakeBlocks(3, 300, 13);
   PairMaterializationSpec pairs;
   pairs.pairs = {{0, 1}, {2, 3}};
@@ -291,28 +305,19 @@ TEST(ExtentPagerTest, SpillRoundTripKeepsListsAndEncodingsExact) {
     TidListStore budgeted(options);
     FillStore(blocks, &budgeted, &pairs);
     // Touching the first block evicts (and spills) the last one, so every
-    // block has been through the spill file.
+    // block has been through its spill file.
     (void)budgeted.block(0).MaterializeItemList(0);
     EXPECT_EQ(budgeted.pager()->spills(), blocks.size());
 
-    // A spill file is exactly the block's payload: no header, no
-    // directory (that stays resident).
-    std::multiset<uintmax_t> spill_sizes;
-    for (const auto& entry : std::filesystem::directory_iterator(spill_dir)) {
-      spill_sizes.insert(entry.file_size());
-    }
-    std::multiset<uintmax_t> payload_sizes;
-    for (const auto& block : budgeted.blocks()) {
-      payload_sizes.insert(block->payload_bytes());
-    }
-    EXPECT_EQ(spill_sizes, payload_sizes);
-
-    // Two evict/fault-in cycles: every list, its encoding and the census
-    // match the never-evicted store.
+    // Two evict/fault-in cycles: every list, its encoding, the slot counts
+    // and the census match the never-evicted store.
     for (int cycle = 0; cycle < 2; ++cycle) {
       for (size_t b = 0; b < blocks.size(); ++b) {
         const BlockTidLists& got = budgeted.block(b);
         const BlockTidLists& want = unbounded.block(b);
+        EXPECT_EQ(got.num_transactions(), want.num_transactions());
+        EXPECT_EQ(got.item_list_slots(), want.item_list_slots());
+        EXPECT_EQ(got.pair_list_slots(), want.pair_list_slots());
         EXPECT_EQ(got.payload_bytes(), want.payload_bytes());
         for (uint8_t e = 0; e < kNumTidEncodings; ++e) {
           const auto encoding = static_cast<TidEncoding>(e);
@@ -333,6 +338,64 @@ TEST(ExtentPagerTest, SpillRoundTripKeepsListsAndEncodingsExact) {
     EXPECT_GT(budgeted.pager()->page_ins(), 0u);
   }
   EXPECT_EQ(::rmdir(spill_dir.c_str()), 0);
+}
+
+TEST(TidListBlockFileTest, V2WritesAreByteDeterministicEvenWhenEvicted) {
+  const auto blocks = MakeBlocks(3, 300, 17);
+  PairMaterializationSpec pairs;
+  pairs.pairs = {{0, 1}, {2, 3}};
+  const std::string dir_a = ::testing::TempDir() + "/demon-spill-bytes-a";
+  const std::string dir_b = ::testing::TempDir() + "/demon-spill-bytes-b";
+
+  TidListStore unbounded{TidListStoreOptions{}};
+  FillStore(blocks, &unbounded, &pairs);
+  {
+    // Two stores with different budgets and touch orders: which block is
+    // evicted when differs, the bytes each block spills must not.
+    TidListStoreOptions options_a;
+    options_a.memory_budget_bytes = 256;
+    options_a.spill_dir = dir_a;
+    TidListStore store_a(options_a);
+    FillStore(blocks, &store_a, &pairs);
+    (void)store_a.block(0).MaterializeItemList(0);
+
+    TidListStoreOptions options_b;
+    options_b.memory_budget_bytes =
+        unbounded.block(0).payload_bytes() + unbounded.block(1).payload_bytes();
+    options_b.spill_dir = dir_b;
+    TidListStore store_b(options_b);
+    FillStore(blocks, &store_b, &pairs);
+    for (int round = 0; round < 4 && store_b.pager()->spills() < blocks.size();
+         ++round) {
+      for (size_t b = blocks.size(); b-- > 0;) {
+        (void)store_b.block(b).MaterializeItemList(1);
+      }
+    }
+    ASSERT_EQ(store_a.pager()->spills(), blocks.size());
+    ASSERT_EQ(store_b.pager()->spills(), blocks.size());
+
+    // A spill file is exactly the block's payload: no header, no directory
+    // (that stays resident).
+    const std::multiset<std::string> bytes_a = SpillFileContents(dir_a);
+    std::multiset<size_t> spill_sizes;
+    for (const std::string& bytes : bytes_a) spill_sizes.insert(bytes.size());
+    std::multiset<size_t> payload_sizes;
+    for (const auto& block : unbounded.blocks()) {
+      payload_sizes.insert(block->payload_bytes());
+    }
+    EXPECT_EQ(spill_sizes, payload_sizes);
+    EXPECT_EQ(bytes_a, SpillFileContents(dir_b));
+
+    // A block faulted back in is never re-spilled (its file stays valid),
+    // so further eviction cycles leave the bytes as they were.
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      (void)store_a.block(b).MaterializeItemList(2);
+    }
+    EXPECT_EQ(store_a.pager()->spills(), blocks.size());
+    EXPECT_EQ(SpillFileContents(dir_a), bytes_a);
+  }
+  EXPECT_EQ(::rmdir(dir_a.c_str()), 0);
+  EXPECT_EQ(::rmdir(dir_b.c_str()), 0);
 }
 
 }  // namespace

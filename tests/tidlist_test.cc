@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "tidlist/simd.h"
 #include "tidlist/tidlist_store.h"
 
 namespace demon {
@@ -46,13 +47,6 @@ TEST(TidListTest, IntersectBasics) {
   EXPECT_EQ(Intersect({1, 2}, {}), TidList{});
   EXPECT_EQ(Intersect({1, 2, 3}, {1, 2, 3}), (TidList{1, 2, 3}));
   EXPECT_EQ(Intersect({1, 2}, {3, 4}), TidList{});
-  // Values at the top of the 32-bit range: the merge compares unsigned.
-  const TidList high_a = {0, 1, 5, 0x7fffffffu, 0x80000000u, 0xfffffff0u,
-                          0xfffffffeu, 0xffffffffu};
-  const TidList high_b = {1, 2, 0x7fffffffu, 0x80000001u, 0xfffffff0u,
-                          0xffffffffu};
-  ExpectMergesMatchOracle(high_a, high_b);
-  ExpectMergesMatchOracle(high_a, high_a);
 }
 
 TEST(TidListTest, GallopingPathMatchesMerge) {
@@ -83,15 +77,6 @@ TEST(TidListTest, RandomizedAgainstSetIntersection) {
     ExpectMergesMatchOracle(TidList(sa.begin(), sa.end()),
                             TidList(sb.begin(), sb.end()));
   }
-  // Densities from ~0.1% to ~80% of the universe, storing and size-only.
-  for (const uint32_t universe : {64u, 1024u, 65536u}) {
-    for (int round = 0; round < 8; ++round) {
-      const size_t na = 1 + rng.NextUint64(universe * 4 / 5);
-      const size_t nb = 1 + rng.NextUint64(universe * 4 / 5);
-      ExpectMergesMatchOracle(RandomList(&rng, na, universe),
-                              RandomList(&rng, nb, universe));
-    }
-  }
 }
 
 TEST(TidListTest, IntersectIntoEdgeCases) {
@@ -118,13 +103,6 @@ TEST(TidListTest, IntersectIntoEdgeCases) {
   EXPECT_EQ(out, (TidList{1, 2, 3, 4}));
   IntersectInto({1}, {2}, &out);
   EXPECT_TRUE(out.empty());
-  // The size-only merge agrees on every empty and single-element shape.
-  const TidList one = {42};
-  const TidList other = {7};
-  ExpectMergesMatchOracle(empty, empty);
-  ExpectMergesMatchOracle(empty, one);
-  ExpectMergesMatchOracle(one, one);
-  ExpectMergesMatchOracle(one, other);
 }
 
 TEST(TidListTest, GallopingThresholdBoundary) {
@@ -176,17 +154,6 @@ TEST(TidListTest, GallopingMatchesMergeOnRandomInputs) {
     ExpectMergesMatchOracle(TidList(ssmall.begin(), ssmall.end()),
                             TidList(slarge.begin(), slarge.end()));
   }
-  // small * kGallopRatio << large over a wide universe; then again with
-  // hits made certain.
-  const TidList small = RandomList(&rng, 12, 1u << 20);
-  const TidList large = RandomList(&rng, 4096, 1u << 20);
-  ExpectMergesMatchOracle(small, large);
-  TidList with_hits = large;
-  for (size_t i = 0; i < small.size(); i += 2) with_hits.push_back(small[i]);
-  std::sort(with_hits.begin(), with_hits.end());
-  with_hits.erase(std::unique(with_hits.begin(), with_hits.end()),
-                  with_hits.end());
-  ExpectMergesMatchOracle(small, with_hits);
 }
 
 TEST(TidListTest, IntersectionSizeWithScratchReuse) {
@@ -214,6 +181,86 @@ TEST(TidListTest, IntersectionSizeMultiWay) {
   EXPECT_EQ(IntersectionSize({&a, &b, &c}), 2u);
   const TidList empty;
   EXPECT_EQ(IntersectionSize({&a, &empty, &b}), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The raw x raw kernel family that simd::ActiveKernelName() names: the
+// storing and the size-only merge-plus-gallop against std::set_intersection
+// on adversarial shapes.
+
+TEST(SimdKernelsTest, ReportsAtLeastTheScalarTier) {
+  EXPECT_STREQ(simd::ActiveKernelName(), "scalar");
+}
+
+TEST(SimdKernelsTest, EmptyAndSingleElementLists) {
+  const TidList empty;
+  const TidList one = {42};
+  const TidList other = {7};
+  ExpectMergesMatchOracle(empty, empty);
+  ExpectMergesMatchOracle(empty, one);
+  ExpectMergesMatchOracle(one, one);
+  ExpectMergesMatchOracle(one, other);
+}
+
+TEST(SimdKernelsTest, ConsecutiveRunsFullAndPartialOverlap) {
+  TidList a;
+  TidList b;
+  for (uint32_t v = 0; v < 300; ++v) a.push_back(v);
+  for (uint32_t v = 150; v < 450; ++v) b.push_back(v);
+  ExpectMergesMatchOracle(a, a);
+  ExpectMergesMatchOracle(a, b);
+}
+
+TEST(SimdKernelsTest, GapsNearUint32Max) {
+  // Values at the top of the 32-bit range: the merge and the gallop must
+  // compare unsigned.
+  const TidList a = {0, 1, 5, 0x7fffffffu, 0x80000000u, 0xfffffff0u,
+                     0xfffffffeu, 0xffffffffu};
+  const TidList b = {1, 2, 0x7fffffffu, 0x80000001u, 0xfffffff0u,
+                     0xffffffffu};
+  ExpectMergesMatchOracle(a, b);
+  ExpectMergesMatchOracle(a, a);
+}
+
+TEST(SimdKernelsTest, LengthsStraddlingVectorWidths) {
+  Rng rng(20260808);
+  // Short lengths on both sides of 4, 8, 16, 32 and 64: either list may run
+  // out first, at any position.
+  const size_t lengths[] = {2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 65};
+  for (const size_t na : lengths) {
+    for (const size_t nb : lengths) {
+      ExpectMergesMatchOracle(RandomList(&rng, na, 256),
+                              RandomList(&rng, nb, 256));
+    }
+  }
+}
+
+TEST(SimdKernelsTest, GallopSkewTriggersGallopPath) {
+  Rng rng(7);
+  // small * kGallopRatio << large, so both merges take the gallop path.
+  const TidList small = RandomList(&rng, 12, 1u << 20);
+  const TidList large = RandomList(&rng, 4096, 1u << 20);
+  ExpectMergesMatchOracle(small, large);
+  // Make some hits certain.
+  TidList with_hits = large;
+  for (size_t i = 0; i < small.size(); i += 2) with_hits.push_back(small[i]);
+  std::sort(with_hits.begin(), with_hits.end());
+  with_hits.erase(std::unique(with_hits.begin(), with_hits.end()),
+                  with_hits.end());
+  ExpectMergesMatchOracle(small, with_hits);
+}
+
+TEST(SimdKernelsTest, DifferentialFuzzAcrossDensities) {
+  Rng rng(991);
+  for (const uint32_t universe : {64u, 1024u, 65536u}) {
+    for (int round = 0; round < 8; ++round) {
+      // Densities from ~0.1% to ~80% of the universe.
+      const size_t na = 1 + rng.NextUint64(universe * 4 / 5);
+      const size_t nb = 1 + rng.NextUint64(universe * 4 / 5);
+      ExpectMergesMatchOracle(RandomList(&rng, na, universe),
+                              RandomList(&rng, nb, universe));
+    }
+  }
 }
 
 TEST(BlockTidListsTest, ListsMatchBlockContents) {

@@ -10,6 +10,7 @@
 #include "common/telemetry.h"
 #include "data/block.h"
 #include "datagen/quest_generator.h"
+#include "persistence/file.h"
 
 namespace demon::bench {
 
@@ -86,23 +87,12 @@ inline std::string HistogramSummariesJson(
 }
 
 /// Writes `contents` to `path` (for --trace_out= / --telemetry_out=).
-/// False, with a message on stderr, on any open, short-write or close
-/// error.
+/// False, with the error on stderr, when the write fails.
 inline bool WriteFileContents(const std::string& path,
                               const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  const bool written =
-      std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!written || !closed) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  const Status written = persistence::WriteFile(path, {contents});
+  if (!written.ok()) std::fprintf(stderr, "%s\n", written.ToString().c_str());
+  return written.ok();
 }
 
 }  // namespace demon::bench

@@ -29,6 +29,7 @@
 #include "itemsets/association_rules.h"
 #include "itemsets/borders.h"
 #include "patterns/compact_sequences.h"
+#include "persistence/file.h"
 
 namespace demon {
 namespace {
@@ -192,15 +193,6 @@ Status RunPatterns(const flags::FlagSet& flags) {
     }
     std::printf("}\n");
   }
-  return Status::OK();
-}
-
-/// Writes `contents` to `path` (for --trace_out= / telemetry --out=).
-Status WriteTextFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  std::fwrite(contents.data(), 1, contents.size(), f);
-  std::fclose(f);
   return Status::OK();
 }
 
@@ -472,7 +464,7 @@ Status RunMonitor(const flags::FlagSet& flags) {
     std::string jsonl;
     for (const auto& [t_ns, line] : lines) jsonl.append(line);
     const std::string path = flags.GetString("timeline_out");
-    DEMON_RETURN_NOT_OK(WriteTextFile(path, jsonl));
+    DEMON_RETURN_NOT_OK(persistence::WriteFile(path, {jsonl}));
     std::printf("\nwrote %zu timeline records to %s\n", lines.size(),
                 path.c_str());
   }
@@ -490,7 +482,7 @@ Status RunMonitor(const flags::FlagSet& flags) {
     } else {
       trace = demon.ExportTelemetry(telemetry::TelemetryFormat::kChromeTrace);
     }
-    DEMON_RETURN_NOT_OK(WriteTextFile(path, trace));
+    DEMON_RETURN_NOT_OK(persistence::WriteFile(path, {trace}));
     std::printf("\nwrote Chrome trace to %s (load at ui.perfetto.dev)\n",
                 path.c_str());
   }
@@ -528,10 +520,10 @@ Status RunTelemetry(const flags::FlagSet& flags) {
   const std::string text = fleet.demon->ExportTelemetry(telemetry_format);
   if (flags.Provided("out")) {
     const std::string path = flags.GetString("out");
-    DEMON_RETURN_NOT_OK(WriteTextFile(path, text));
+    DEMON_RETURN_NOT_OK(persistence::WriteFile(path, {text}));
     std::printf("wrote %s telemetry to %s\n", format.c_str(), path.c_str());
   } else {
-    std::fwrite(text.data(), 1, text.size(), stdout);
+    std::printf("%s", text.c_str());
   }
   return Status::OK();
 }

@@ -23,6 +23,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "common/telemetry.h"
+#include "persistence/file.h"
 #include "server/wire.h"
 
 namespace {
@@ -127,15 +128,6 @@ Status RunWorker(const LoadConfig& config, uint64_t worker, uint64_t workers,
     }
   }
   return Status::OK();
-}
-
-bool WriteFileContents(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace
@@ -291,8 +283,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(requests), seconds,
         seconds > 0 ? static_cast<double>(sent) / seconds : 0.0, p50, p95,
         max_latency);
-    if (!WriteFileContents(json_out, buffer)) {
-      std::fprintf(stderr, "demon_load: cannot write %s\n", json_out.c_str());
+    const Status written = demon::persistence::WriteFile(json_out, {buffer});
+    if (!written.ok()) {
+      std::fprintf(stderr, "demon_load: %s\n", written.ToString().c_str());
       return 1;
     }
   }

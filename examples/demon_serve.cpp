@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/flags.h"
+#include "persistence/file.h"
 #include "server/server.h"
 
 namespace {
@@ -23,15 +24,6 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void OnSignal(int /*signum*/) { g_stop.store(true, std::memory_order_release); }
-
-bool WriteFileContents(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
-  std::fclose(f);
-  return ok;
-}
 
 }  // namespace
 
@@ -111,9 +103,10 @@ int main(int argc, char** argv) {
   if (!telemetry_out.empty()) {
     const std::string text = server.telemetry()->Export(
         demon::telemetry::TelemetryFormat::kPrometheus);
-    if (!WriteFileContents(telemetry_out, text)) {
-      std::fprintf(stderr, "demon_serve: cannot write %s\n",
-                   telemetry_out.c_str());
+    const demon::Status written =
+        demon::persistence::WriteFile(telemetry_out, {text});
+    if (!written.ok()) {
+      std::fprintf(stderr, "demon_serve: %s\n", written.ToString().c_str());
       return 1;
     }
   }

@@ -47,6 +47,10 @@ Checks enforced (all are CI-blocking):
                  parsed with Parse/ParseKnown; positional words go
                  through flags::Positional. Hand-rolled scanning is how
                  typos silently fall back to defaults.
+  raw-file-io    Raw file I/O (stdio, `::open(` / `::pread(` / `::write(`,
+                 `ftruncate`, `mmap(`, <fstream>) in src/ or examples/
+                 outside src/persistence/file.{h,cc}, the one module that
+                 handles short writes, EINTR and errno-to-Status mapping.
 
 Suppress a finding with `// lint:allow(<check>)` on the offending line.
 
@@ -101,6 +105,13 @@ NAKED_SYNC_RE = re.compile(
 
 # argv indexing outside the flags library.
 RAW_ARGV_RE = re.compile(r"\bargv\s*\[")
+# File I/O that bypasses persistence/file.
+RAW_FILE_IO_RE = re.compile(
+    r"\bstd::FILE\b|\bf(?:open|read|write)\s*\(|::(?:open|pread|write)\s*\("
+    r"|\bftruncate\b|\bmmap\s*\(|#\s*include\s*<fstream>"
+    r"|\bstd::[io]?fstream\b"
+)
+RAW_FILE_IO_HOME = ("src/persistence/file.h", "src/persistence/file.cc")
 
 
 def strip_comments_and_strings(line, in_block_comment):
@@ -228,6 +239,12 @@ def lint_file(path, root, findings):
                    "argv indexing outside src/common/; declare the flags "
                    "on a flags::FlagSet and read positionals via "
                    "flags::Positional")
+        if (RAW_FILE_IO_RE.search(code)
+                and path.relative_to(root).parts[0] in ("src", "examples")
+                and path not in [root / f for f in RAW_FILE_IO_HOME]):
+            report(lineno, "raw-file-io",
+                   "raw file I/O outside src/persistence/file.{h,cc}; use "
+                   "persistence::WriteFile / ReadFile / File")
         if (path.suffix in HEADER_EXT
                 and NODISCARD_DECL_RE.match(code)
                 and "[[nodiscard]]" not in code_lines[max(0, lineno - 2)]
@@ -339,6 +356,25 @@ SELF_TEST_CASES = [
     ("raw-argv respects lint:allow", "src/core/t.cc",
      "const char* F(char** argv) {\n"
      "  return argv[0];  // lint:allow(raw-argv)\n}\n",
+     []),
+    ("raw-file-io fires on stdio in src", "src/core/u.cc",
+     "void F(const char* p) {\n  std::FILE* f = std::fopen(p, \"wb\");\n}\n",
+     ["raw-file-io"]),
+    ("raw-file-io fires on POSIX I/O and <fstream> in examples",
+     "examples/v.cpp",
+     "#include <fstream>\nvoid F(int fd, char* b) {\n  ::pread(fd, b, 1, 0);\n"
+     "  ftruncate(fd, 0);\n  mmap(nullptr, 1, 0, 0, fd, 0);\n}\n",
+     ["raw-file-io"]),
+    ("raw-file-io exempts persistence/file.cc", "src/persistence/file.cc",
+     "int F(const char* p) {\n  return ::open(p, 0);\n}\n",
+     []),
+    ("raw-file-io respects lint:allow; persistence::File is clean",
+     "src/core/x.cc",
+     "void F(int fd) {\n  ::write(fd, \"x\", 1);  // lint:allow(raw-file-io)\n"
+     "  auto file = persistence::File::OpenForRead(\"p\");\n}\n",
+     []),
+    ("raw-file-io leaves tests alone", "tests/y_test.cc",
+     "void F(const char* p) {\n  std::FILE* f = std::fopen(p, \"rb\");\n}\n",
      []),
     ("clean file stays clean", "src/core/l.cc",
      "void F() {}\n",

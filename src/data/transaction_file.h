@@ -1,12 +1,12 @@
 #ifndef DEMON_DATA_TRANSACTION_FILE_H_
 #define DEMON_DATA_TRANSACTION_FILE_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "data/block.h"
+#include "persistence/serializer.h"
 
 namespace demon {
 
@@ -26,11 +26,10 @@ class TransactionFile {
 };
 
 /// \brief Streaming reader over a TransactionFile: visits each
-/// transaction without materializing the block, tracking bytes read.
+/// transaction without materializing the block, tracking the bytes each
+/// scan decodes. The file is read once, at Open.
 class TransactionFileScanner {
  public:
-  ~TransactionFileScanner();
-
   TransactionFileScanner(const TransactionFileScanner&) = delete;
   TransactionFileScanner& operator=(const TransactionFileScanner&) = delete;
 
@@ -41,7 +40,7 @@ class TransactionFileScanner {
   /// called repeatedly (rewinds first).
   template <typename Fn>
   [[nodiscard]] Status Scan(Fn&& fn) {
-    DEMON_RETURN_NOT_OK(Rewind());
+    Rewind();
     Transaction transaction;
     for (;;) {
       DEMON_ASSIGN_OR_RETURN(const bool more, Next(&transaction));
@@ -57,15 +56,16 @@ class TransactionFileScanner {
  private:
   TransactionFileScanner() = default;
 
-  [[nodiscard]] Status Rewind();
+  void Rewind();
   /// Reads the next transaction; false when the file is exhausted.
   [[nodiscard]] Result<bool> Next(Transaction* out);
 
-  std::FILE* file_ = nullptr;
+  std::string bytes_;
+  /// Positioned at the next transaction of the current scan.
+  persistence::Reader reader_{nullptr, 0};
   size_t num_transactions_ = 0;
   size_t position_ = 0;
   uint64_t bytes_read_ = 0;
-  long file_bytes_ = 0;
 };
 
 }  // namespace demon

@@ -2,50 +2,15 @@
 
 #include <cstdio>
 
+#include "persistence/file.h"
+
 namespace demon::persistence {
 
 namespace {
 
 std::string DescribeFormat(uint32_t id) {
-  switch (static_cast<FormatId>(id)) {
-    case FormatId::kTransactionFile:
-    case FormatId::kTidListBlock:
-    case FormatId::kTidListIndexed:
-    case FormatId::kItemsetModel:
-    case FormatId::kCheckpoint:
-    case FormatId::kWriteAheadLog:
-    case FormatId::kWireRequest:
-    case FormatId::kWireResponse:
-      return FormatIdToString(static_cast<FormatId>(id));
-  }
-  return "format#" + std::to_string(id);
-}
-
-/// Best-effort cleanup of a .tmp file on the failure paths: the write
-/// already failed, so an unlink failure adds nothing actionable.
-void DiscardTempFile(const std::string& path) {
-  if (std::remove(path.c_str()) != 0) {
-    // Nothing to do — see above.
-  }
-}
-
-Status ValidateHeader(const FileHeader& header, FormatId expected,
-                      uint32_t max_version, const std::string& context) {
-  if (header.magic != kMagic) {
-    return Status::InvalidArgument(context + ": not a DEMON file (bad magic)");
-  }
-  if (header.format_id != static_cast<uint32_t>(expected)) {
-    return Status::InvalidArgument(
-        context + ": expected a " + FormatIdToString(expected) +
-        " file, found " + DescribeFormat(header.format_id));
-  }
-  if (header.version == 0 || header.version > max_version) {
-    return Status::InvalidArgument(
-        context + ": " + FormatIdToString(expected) + " version " +
-        std::to_string(header.version) + " unsupported (reader handles 1.." +
-        std::to_string(max_version) + ")");
-  }
-  return Status::OK();
+  const std::string name = FormatIdToString(static_cast<FormatId>(id));
+  return name != "unknown" ? name : "format#" + std::to_string(id);
 }
 
 }  // namespace
@@ -72,37 +37,11 @@ const char* FormatIdToString(FormatId id) {
   return "unknown";
 }
 
-Status FileHeader::WriteTo(std::FILE* f) const {
-  Writer w;
-  AppendTo(w);
-  if (std::fwrite(w.buffer().data(), 1, w.size(), f) != w.size()) {
-    return Status::IoError("short write of file header");
-  }
-  return Status::OK();
-}
-
-Result<FileHeader> FileHeader::ReadFrom(std::FILE* f, FormatId expected,
-                                        uint32_t max_version,
-                                        const std::string& context) {
-  char bytes[kBytes];
-  if (std::fread(bytes, 1, kBytes, f) != kBytes) {
-    return Status::DataLoss(context + ": file too short for a DEMON header");
-  }
-  Reader r(bytes, kBytes);
-  FileHeader header;
-  header.magic = r.ReadU64();
-  header.format_id = r.ReadU32();
-  header.version = r.ReadU32();
-  header.flags = r.ReadU64();
-  DEMON_RETURN_NOT_OK(ValidateHeader(header, expected, max_version, context));
-  return header;
-}
-
-void FileHeader::AppendTo(Writer& w) const {
-  w.WriteU64(magic);
-  w.WriteU32(format_id);
+void FileHeader::Append(Writer& w, FormatId format, uint32_t version) {
+  w.WriteU64(kMagic);
+  w.WriteU32(static_cast<uint32_t>(format));
   w.WriteU32(version);
-  w.WriteU64(flags);
+  w.WriteU64(0);  // flags
 }
 
 Result<FileHeader> FileHeader::Consume(Reader& r, FormatId expected,
@@ -116,60 +55,46 @@ Result<FileHeader> FileHeader::Consume(Reader& r, FormatId expected,
   header.format_id = r.ReadU32();
   header.version = r.ReadU32();
   header.flags = r.ReadU64();
-  DEMON_RETURN_NOT_OK(ValidateHeader(header, expected, max_version, context));
+  if (header.magic != kMagic) {
+    return Status::InvalidArgument(context + ": not a DEMON file (bad magic)");
+  }
+  if (header.format_id != static_cast<uint32_t>(expected)) {
+    return Status::InvalidArgument(
+        context + ": expected a " + FormatIdToString(expected) +
+        " file, found " + DescribeFormat(header.format_id));
+  }
+  if (header.version == 0 || header.version > max_version) {
+    return Status::InvalidArgument(
+        context + ": " + FormatIdToString(expected) + " version " +
+        std::to_string(header.version) + " unsupported (reader handles 1.." +
+        std::to_string(max_version) + ")");
+  }
   return header;
 }
 
 Status WritePayloadFile(const std::string& path, FormatId format,
                         uint32_t version, const Writer& payload) {
+  Writer header;
+  FileHeader::Append(header, format, version);
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + tmp);
-  FileHeader header;
-  header.format_id = static_cast<uint32_t>(format);
-  header.version = version;
-  Status status = header.WriteTo(f);
-  if (status.ok() && !payload.buffer().empty() &&
-      std::fwrite(payload.buffer().data(), 1, payload.size(), f) !=
-          payload.size()) {
-    status = Status::IoError("short write: " + tmp);
+  Status status = WriteFile(tmp, {header.buffer(), payload.buffer()});
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Status::IoError("cannot rename " + tmp + " over " + path);
   }
-  if (std::fflush(f) != 0 && status.ok()) {
-    status = Status::IoError("flush failed: " + tmp);
-  }
-  std::fclose(f);
-  if (!status.ok()) {
-    DiscardTempFile(tmp);
-    return status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    DiscardTempFile(tmp);
-    return Status::IoError("cannot rename " + tmp + " over " + path);
-  }
-  return Status::OK();
+  if (!status.ok()) RemoveFile(tmp);
+  return status;
 }
 
 Result<std::string> ReadPayloadFile(const std::string& path, FormatId format,
                                     uint32_t max_version,
                                     uint32_t* version_out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
-  auto header = FileHeader::ReadFrom(f, format, max_version, path);
-  if (!header.ok()) {
-    std::fclose(f);
-    return header.status();
-  }
-  if (version_out != nullptr) *version_out = header.value().version;
-  std::string payload;
-  char chunk[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    payload.append(chunk, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IoError("read failed: " + path);
-  return payload;
+  DEMON_ASSIGN_OR_RETURN(std::string bytes, ReadFile(path));
+  Reader r(bytes);
+  DEMON_ASSIGN_OR_RETURN(const FileHeader header,
+                         FileHeader::Consume(r, format, max_version, path));
+  if (version_out != nullptr) *version_out = header.version;
+  bytes.erase(0, FileHeader::kBytes);  // in place: no second payload buffer
+  return bytes;
 }
 
 }  // namespace demon::persistence

@@ -2,7 +2,6 @@
 #define DEMON_PERSISTENCE_FILE_HEADER_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "common/status.h"
@@ -46,33 +45,27 @@ struct FileHeader {
   uint32_t version = 0;
   uint64_t flags = 0;
 
-  /// Writes the 24 header bytes at the current file position.
-  [[nodiscard]] Status WriteTo(std::FILE* f) const;
+  /// Appends a header for `format` at `version` (no flags).
+  static void Append(Writer& w, FormatId format, uint32_t version);
 
   /// Reads and validates a header: wrong magic / wrong format id / version
-  /// newer than `max_version` yield `InvalidArgument`; a short read yields
-  /// `DataLoss`. `context` names the file in error messages.
-  [[nodiscard]] static Result<FileHeader> ReadFrom(std::FILE* f,
-                                                   FormatId expected,
-                                                   uint32_t max_version,
-                                                   const std::string& context);
-
-  /// In-memory variants for formats framed inside a byte buffer.
-  void AppendTo(Writer& w) const;
+  /// newer than `max_version` yield `InvalidArgument`; fewer than `kBytes`
+  /// bytes yield `DataLoss`. `context` names the input in error messages.
   [[nodiscard]] static Result<FileHeader> Consume(Reader& r, FormatId expected,
                                                   uint32_t max_version,
                                                   const std::string& context);
 };
 
 /// Writes `header ++ payload` to `path` atomically: the bytes go to
-/// `path + ".tmp"` first and are renamed over `path` only after a clean
-/// close, so a crash mid-write can never leave a torn file under the real
-/// name (the reader either sees the old file or the complete new one).
+/// `path + ".tmp"` (one `WriteFile`) and are renamed over `path` only
+/// after a clean close, so a crash mid-write can never leave a torn file
+/// under the real name (the reader either sees the old file or the
+/// complete new one).
 [[nodiscard]] Status WritePayloadFile(const std::string& path, FormatId format,
                                       uint32_t version, const Writer& payload);
 
 /// Reads a file written by `WritePayloadFile`: validates the header (same
-/// status contract as `FileHeader::ReadFrom`) and returns the payload bytes.
+/// status contract as `FileHeader::Consume`) and returns the payload bytes.
 /// `version_out` (optional) receives the file's actual format version, for
 /// formats whose payload layout evolved (e.g. checkpoint v1 → v2).
 [[nodiscard]] Result<std::string> ReadPayloadFile(

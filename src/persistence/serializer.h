@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -15,7 +16,7 @@ struct BlockSource;
 /// \brief Append-only binary encoder backing every DEMON on-disk payload.
 ///
 /// Writes into a growable in-memory buffer, so encoding itself cannot fail;
-/// file-level concerns (headers, atomic rename, fsync) live with the caller.
+/// file-level concerns (headers, atomic rename) live with the caller.
 /// All integers are fixed-width little-endian on every supported target;
 /// doubles are serialized as their IEEE-754 bit patterns so a round trip is
 /// bit-exact — the property the restore-equivalence tests depend on.
@@ -97,13 +98,20 @@ class Reader {
     return v;
   }
 
-  std::string ReadString() {
-    const size_t n = ReadLength(1);
-    std::string s;
-    if (!ok()) return s;
-    s.assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
+  std::string ReadString() { return std::string(ReadBytes(ReadLength(1))); }
+
+  /// Views the next `size` raw bytes and advances past them; the view
+  /// points into the decoded buffer and is empty once an error latched.
+  std::string_view ReadBytes(size_t size) {
+    if (!ok()) return {};
+    if (size > remaining()) {
+      Fail("input truncated");
+      return {};
+    }
+    const std::string_view bytes(reinterpret_cast<const char*>(data_ + pos_),
+                                 size);
+    pos_ += size;
+    return bytes;
   }
 
   std::vector<uint32_t> ReadU32Vector() {

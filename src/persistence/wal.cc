@@ -1,10 +1,6 @@
 #include "persistence/wal.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <utility>
-#include <vector>
 
 #include "persistence/file_header.h"
 
@@ -20,7 +16,10 @@ enum class RecordKind : uint8_t {
   kLabeled = 3,
 };
 
-uint64_t Fnv1a(const std::string& bytes) {
+/// Bytes framing a record before its payload: kind then payload length.
+constexpr size_t kRecordPrefixBytes = sizeof(uint8_t) + sizeof(uint64_t);
+
+uint64_t Fnv1a(std::string_view bytes) {
   uint64_t h = 1469598103934665603ULL;
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
@@ -29,133 +28,101 @@ uint64_t Fnv1a(const std::string& bytes) {
   return h;
 }
 
-bool ReadExact(std::FILE* f, void* out, size_t size) {
-  return std::fread(out, 1, size, f) == size;
-}
-
-/// Scans records from the current position (just past the header) to the
-/// end of the log. Durable records are handed to `on_record` (may be null);
-/// a torn tail is *not* an error — scanning stops and `end_of_valid` points
-/// at the end of the last durable record.
+/// Scans the records in `r` (the log past its header). Durable records are
+/// handed to `on_record` (may be null) as a reader over their payload; a
+/// torn tail is *not* an error — scanning stops and `torn_bytes` counts the
+/// bytes after the last durable record.
 Status ScanRecords(
-    std::FILE* f, const std::string& path,
-    const std::function<Status(RecordKind, const std::string&)>& on_record,
-    long* end_of_valid, size_t* num_records) {
+    Reader r, const std::string& path,
+    const std::function<Status(RecordKind, Reader&)>& on_record,
+    size_t* torn_bytes, size_t* num_records) {
   *num_records = 0;
-  *end_of_valid = std::ftell(f);
-  std::fseek(f, 0, SEEK_END);
-  const long file_size = std::ftell(f);
-  std::fseek(f, *end_of_valid, SEEK_SET);
   for (;;) {
-    uint8_t kind = 0;
-    uint64_t payload_bytes = 0;
-    if (!ReadExact(f, &kind, sizeof(kind)) ||
-        !ReadExact(f, &payload_bytes, sizeof(payload_bytes))) {
+    *torn_bytes = r.remaining();
+    if (r.remaining() < kRecordPrefixBytes) {
       return Status::OK();  // clean EOF or torn length prefix
     }
+    const uint8_t kind = r.ReadU8();
+    const uint64_t payload_bytes = r.ReadU64();
     if (kind < static_cast<uint8_t>(RecordKind::kTransactions) ||
         kind > static_cast<uint8_t>(RecordKind::kLabeled)) {
       return Status::DataLoss(path + ": WAL record with unknown payload kind " +
                               std::to_string(kind));
     }
-    // A length pointing past EOF is either a torn length field or garbage;
-    // bounding it here also keeps corrupt input from forcing a huge
-    // allocation below.
-    const uint64_t bytes_left =
-        static_cast<uint64_t>(file_size - std::ftell(f));
-    if (payload_bytes + sizeof(uint64_t) > bytes_left) {
+    // A length pointing past EOF is either a torn length field or garbage.
+    // Compared without adding to it, so a hostile length cannot wrap.
+    if (r.remaining() < sizeof(uint64_t) ||
+        payload_bytes > r.remaining() - sizeof(uint64_t)) {
       return Status::OK();  // torn tail record
     }
-    std::string payload(payload_bytes, '\0');
-    uint64_t checksum = 0;
-    if (!ReadExact(f, payload.data(), payload.size()) ||
-        !ReadExact(f, &checksum, sizeof(checksum))) {
-      return Status::OK();  // torn tail record: the append never completed
-    }
-    if (checksum != Fnv1a(payload)) {
+    const std::string_view payload = r.ReadBytes(payload_bytes);
+    if (r.ReadU64() != Fnv1a(payload)) {
       return Status::DataLoss(path + ": WAL record " +
                               std::to_string(*num_records) +
                               " fails its checksum");
     }
     if (on_record != nullptr) {
-      DEMON_RETURN_NOT_OK(
-          on_record(static_cast<RecordKind>(kind), payload));
+      Reader record(payload.data(), payload.size());
+      DEMON_RETURN_NOT_OK(on_record(static_cast<RecordKind>(kind), record));
     }
     ++*num_records;
-    *end_of_valid = std::ftell(f);
   }
+}
+
+/// Decodes one replayed record's block and hands it to `sink`.
+template <typename BlockT>
+Status Deliver(Reader& r,
+               const std::function<Status(std::shared_ptr<const BlockT>)>& sink,
+               const std::string& path, const char* what) {
+  auto block = std::make_shared<BlockT>();
+  ReadBlockInto(r, block.get());
+  if (!r.ok()) return r.status();
+  if (!r.AtEnd()) {
+    return Status::DataLoss(path + ": WAL record payload has trailing bytes");
+  }
+  if (sink == nullptr) {
+    return Status::InvalidArgument(path + ": WAL holds " + what +
+                                   " blocks but the replayer accepts none");
+  }
+  return sink(std::move(block));
 }
 
 }  // namespace
 
-WriteAheadLog::~WriteAheadLog() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  if (f == nullptr) {
-    // Create a fresh log with just a header.
-    f = std::fopen(path.c_str(), "w+b");
-    if (f == nullptr) return Status::IoError("cannot create WAL: " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-
+  DEMON_ASSIGN_OR_RETURN(File file, File::OpenForAppend(path));
+  DEMON_ASSIGN_OR_RETURN(const uint64_t size, file.Size());
   size_t num_records = 0;
   if (size == 0) {
-    FileHeader header;
-    header.format_id = static_cast<uint32_t>(FormatId::kWriteAheadLog);
-    header.version = kWalVersion;
-    Status status = header.WriteTo(f);
-    if (status.ok() && std::fflush(f) != 0) {
-      status = Status::IoError("flush failed: " + path);
-    }
-    if (!status.ok()) {
-      std::fclose(f);
-      return status;
-    }
+    Writer header;
+    FileHeader::Append(header, FormatId::kWriteAheadLog, kWalVersion);
+    DEMON_RETURN_NOT_OK(file.Append({header.buffer()}));
   } else {
-    auto header = FileHeader::ReadFrom(f, FormatId::kWriteAheadLog,
-                                       kWalVersion, path);
-    if (!header.ok()) {
-      std::fclose(f);
-      return header.status();
-    }
-    long end_of_valid = 0;
-    Status status =
-        ScanRecords(f, path, nullptr, &end_of_valid, &num_records);
-    if (!status.ok()) {
-      std::fclose(f);
-      return status;
-    }
-    if (end_of_valid < size) {
-      // Drop the torn tail left by a crash mid-append.
-      if (ftruncate(fileno(f), end_of_valid) != 0) {
-        std::fclose(f);
-        return Status::IoError("cannot truncate torn WAL tail: " + path);
-      }
-    }
-    std::fseek(f, end_of_valid, SEEK_SET);
+    std::string bytes(size, '\0');
+    DEMON_RETURN_NOT_OK(file.ReadAt(0, bytes.data(), bytes.size()));
+    Reader r(bytes);
+    DEMON_RETURN_NOT_OK(
+        FileHeader::Consume(r, FormatId::kWriteAheadLog, kWalVersion, path)
+            .status());
+    size_t torn_bytes = 0;
+    DEMON_RETURN_NOT_OK(
+        ScanRecords(r, path, nullptr, &torn_bytes, &num_records));
+    // Drop the torn tail left by a crash mid-append.
+    if (torn_bytes > 0) DEMON_RETURN_NOT_OK(file.Truncate(size - torn_bytes));
   }
   return std::unique_ptr<WriteAheadLog>(
-      new WriteAheadLog(path, f, num_records));
+      new WriteAheadLog(std::move(file), num_records));
 }
 
 Status WriteAheadLog::AppendRecord(uint8_t kind, const Writer& payload) {
-  const uint64_t payload_bytes = payload.size();
-  const uint64_t checksum = Fnv1a(payload.buffer());
-  bool ok = std::fwrite(&kind, sizeof(kind), 1, file_) == 1 &&
-            std::fwrite(&payload_bytes, sizeof(payload_bytes), 1, file_) == 1;
-  if (ok && payload_bytes > 0) {
-    ok = std::fwrite(payload.buffer().data(), 1, payload.size(), file_) ==
-         payload.size();
-  }
-  ok = ok && std::fwrite(&checksum, sizeof(checksum), 1, file_) == 1 &&
-       std::fflush(file_) == 0;
-  if (!ok) return Status::IoError("WAL append failed: " + path_);
+  Writer prefix;
+  prefix.WriteU8(kind);
+  prefix.WriteU64(payload.size());
+  Writer checksum;
+  checksum.WriteU64(Fnv1a(payload.buffer()));
+  DEMON_RETURN_NOT_OK(
+      file_.Append({prefix.buffer(), payload.buffer(), checksum.buffer()}));
   ++num_records_;
   return Status::OK();
 }
@@ -181,68 +148,29 @@ Status WriteAheadLog::Append(const LabeledBlock& block) {
 
 Status WriteAheadLog::Replay(const std::string& path,
                              const Replayer& replayer) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open WAL: " + path);
-  auto header =
-      FileHeader::ReadFrom(f, FormatId::kWriteAheadLog, kWalVersion, path);
-  if (!header.ok()) {
-    std::fclose(f);
-    return header.status();
-  }
-  const auto decode = [&path, &replayer](RecordKind kind,
-                                         const std::string& payload) {
-    Reader r(payload);
+  DEMON_ASSIGN_OR_RETURN(const std::string bytes, ReadFile(path));
+  Reader log(bytes);
+  DEMON_RETURN_NOT_OK(
+      FileHeader::Consume(log, FormatId::kWriteAheadLog, kWalVersion, path)
+          .status());
+  const auto decode = [&path, &replayer](RecordKind kind, Reader& r) {
     switch (kind) {
-      case RecordKind::kTransactions: {
-        auto block = std::make_shared<TransactionBlock>();
-        ReadBlockInto(r, block.get());
-        if (!r.ok() || !r.AtEnd()) break;
-        if (replayer.transactions == nullptr) {
-          return Status::InvalidArgument(
-              path + ": WAL holds transaction blocks but the replayer "
-                     "accepts none");
-        }
-        return replayer.transactions(std::move(block));
-      }
-      case RecordKind::kPoints: {
-        auto block = std::make_shared<PointBlock>();
-        ReadBlockInto(r, block.get());
-        if (!r.ok() || !r.AtEnd()) break;
-        if (replayer.points == nullptr) {
-          return Status::InvalidArgument(
-              path + ": WAL holds point blocks but the replayer accepts "
-                     "none");
-        }
-        return replayer.points(std::move(block));
-      }
-      case RecordKind::kLabeled: {
-        auto block = std::make_shared<LabeledBlock>();
-        ReadBlockInto(r, block.get());
-        if (!r.ok() || !r.AtEnd()) break;
-        if (replayer.labeled == nullptr) {
-          return Status::InvalidArgument(
-              path + ": WAL holds labeled blocks but the replayer accepts "
-                     "none");
-        }
-        return replayer.labeled(std::move(block));
-      }
+      case RecordKind::kTransactions:
+        return Deliver(r, replayer.transactions, path, "transaction");
+      case RecordKind::kPoints:
+        return Deliver(r, replayer.points, path, "point");
+      case RecordKind::kLabeled:
+        return Deliver(r, replayer.labeled, path, "labeled");
     }
-    if (!r.status().ok()) return r.status();
-    return Status::DataLoss(path + ": WAL record payload has trailing bytes");
+    return Status::DataLoss(path + ": WAL record of unknown kind");
   };
-  long end_of_valid = 0;
+  size_t torn_bytes = 0;
   size_t num_records = 0;
-  const Status status =
-      ScanRecords(f, path, decode, &end_of_valid, &num_records);
-  std::fclose(f);
-  return status;
+  return ScanRecords(log, path, decode, &torn_bytes, &num_records);
 }
 
 Status WriteAheadLog::Reset() {
-  if (ftruncate(fileno(file_), static_cast<long>(FileHeader::kBytes)) != 0) {
-    return Status::IoError("cannot reset WAL: " + path_);
-  }
-  std::fseek(file_, static_cast<long>(FileHeader::kBytes), SEEK_SET);
+  DEMON_RETURN_NOT_OK(file_.Truncate(FileHeader::kBytes));
   num_records_ = 0;
   return Status::OK();
 }

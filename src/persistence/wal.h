@@ -1,7 +1,6 @@
 #ifndef DEMON_PERSISTENCE_WAL_H_
 #define DEMON_PERSISTENCE_WAL_H_
 
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -10,14 +9,15 @@
 #include "data/block.h"
 #include "dtree/labeled_block.h"
 #include "persistence/block_codec.h"
+#include "persistence/file.h"
 
 namespace demon::persistence {
 
 /// \brief Append-only block-arrival log. Every block fed to a monitored
-/// database is appended (and flushed) here *after* it is assigned its id,
-/// so that after a crash the blocks that arrived since the last checkpoint
-/// can be replayed in arrival order and the maintained models converge to
-/// the exact state of an uninterrupted run.
+/// database is appended (and handed to the OS) here *after* it is assigned
+/// its id, so that after a crash the blocks that arrived since the last
+/// checkpoint can be replayed in arrival order and the maintained models
+/// converge to the exact state of an uninterrupted run.
 ///
 /// Layout: a `FileHeader` (format `kWriteAheadLog`) followed by records
 ///   [u8 payload kind][u64 payload bytes][payload][u64 FNV-1a checksum]
@@ -37,7 +37,6 @@ class WriteAheadLog {
     std::function<Status(std::shared_ptr<const LabeledBlock>)> labeled;
   };
 
-  ~WriteAheadLog();
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
@@ -48,8 +47,8 @@ class WriteAheadLog {
   [[nodiscard]] static Result<std::unique_ptr<WriteAheadLog>> Open(
       const std::string& path);
 
-  /// Appends one block arrival and flushes it to the OS. The block must
-  /// already carry its assigned id.
+  /// Appends one block arrival and hands it to the OS in one write. The
+  /// block must already carry its assigned id.
   [[nodiscard]] Status Append(const TransactionBlock& block);
   [[nodiscard]] Status Append(const PointBlock& block);
   [[nodiscard]] Status Append(const LabeledBlock& block);
@@ -68,16 +67,15 @@ class WriteAheadLog {
   /// Append).
   size_t num_records() const { return num_records_; }
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_.path(); }
 
  private:
-  WriteAheadLog(std::string path, std::FILE* file, size_t num_records)
-      : path_(std::move(path)), file_(file), num_records_(num_records) {}
+  WriteAheadLog(File file, size_t num_records)
+      : file_(std::move(file)), num_records_(num_records) {}
 
   [[nodiscard]] Status AppendRecord(uint8_t kind, const Writer& payload);
 
-  std::string path_;
-  std::FILE* file_ = nullptr;
+  File file_;
   size_t num_records_ = 0;
 };
 

@@ -48,10 +48,7 @@ std::string FinishFrame(const Writer& payload) {
 }
 
 void AppendWireHeader(Writer& w, FormatId format) {
-  FileHeader header;
-  header.format_id = static_cast<uint32_t>(format);
-  header.version = kWireVersion;
-  header.AppendTo(w);
+  FileHeader::Append(w, format, kWireVersion);
 }
 
 /// Reads `n` bytes from `fd` into `out`. `eof_at_start_ok` distinguishes

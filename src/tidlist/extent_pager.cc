@@ -8,21 +8,10 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "persistence/file.h"
 #include "tidlist/tidlist_store.h"
 
 namespace demon {
-
-namespace {
-
-/// Best-effort unlink: the spill file may legitimately not exist (never
-/// spilled, or already invalidated), so a failure is not an error.
-void RemoveFileIfPresent(const std::string& path) {
-  if (std::remove(path.c_str()) != 0) {
-    // Nothing to do — see above.
-  }
-}
-
-}  // namespace
 
 TidListStoreOptions TidListStoreOptions::FromEnv() {
   TidListStoreOptions options;
@@ -123,7 +112,7 @@ void ExtentPager::Forget(const BlockTidLists* block) {
       resident_gauge_->Set(static_cast<double>(now));
     }
   }
-  if (!it->spill_path.empty()) RemoveFileIfPresent(it->spill_path);
+  if (!it->spill_path.empty()) persistence::RemoveFile(it->spill_path);
   entries_.erase(it);
 }
 
@@ -163,7 +152,7 @@ void ExtentPager::OnPayloadRebuilt(const BlockTidLists* block,
   Entry* entry = FindEntryLocked(block);
   DEMON_CHECK_MSG(entry != nullptr, "payload rebuild on an unadopted block");
   if (!entry->spill_path.empty()) {
-    RemoveFileIfPresent(entry->spill_path);
+    persistence::RemoveFile(entry->spill_path);
     entry->spill_path.clear();
   }
   entry->spilled = false;

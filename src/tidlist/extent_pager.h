@@ -35,7 +35,7 @@ struct TidListStoreOptions {
 };
 
 /// \brief Spills cold per-block TID-list payloads to files (the payload
-/// bytes alone) and mmaps them back on demand, keeping resident bytes under
+/// bytes alone) and reads them back on demand, keeping resident bytes under
 /// the budget with LRU eviction.
 ///
 /// One pager serves one TidListStore (and its copies — GEMM's cloned

@@ -10,57 +10,47 @@ namespace demon {
 namespace {
 
 constexpr uint32_t kTidListIndexedVersion = 1;
-
-bool WriteU64(std::FILE* f, uint64_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-
-bool ReadU64(std::FILE* f, uint64_t* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
+/// Header plus the three counts: num_transactions, num_items, num_pairs.
+constexpr uint64_t kTablesStart =
+    persistence::FileHeader::kBytes + 3 * sizeof(uint64_t);
+/// Table entries: offset and length per item; key, offset and length per
+/// materialized pair.
+constexpr uint64_t kItemEntryBytes = 2 * sizeof(uint64_t);
+constexpr uint64_t kPairEntryBytes = 3 * sizeof(uint64_t);
 
 }  // namespace
 
 Status TidListFile::Write(const BlockTidLists& lists,
                           const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-
   const size_t num_items = lists.num_items();
   auto pairs = lists.MaterializedPairs();
   // MaterializedPairs comes back in hash order; sort for a deterministic
   // file image.
   std::sort(pairs.begin(), pairs.end());
 
-  persistence::FileHeader file_header;
-  file_header.format_id =
-      static_cast<uint32_t>(persistence::FormatId::kTidListIndexed);
-  file_header.version = kTidListIndexedVersion;
-  Status header_status = file_header.WriteTo(f);
+  persistence::Writer w;
+  persistence::FileHeader::Append(w, persistence::FormatId::kTidListIndexed,
+                                  kTidListIndexedVersion);
+  w.WriteU64(lists.num_transactions());
+  w.WriteU64(num_items);
+  w.WriteU64(pairs.size());
 
-  // Fixed-size counts: num_transactions, num_items, num_pairs. List
+  // The offset tables precede the data, so lay the data out first. List
   // lengths come from the always-resident directory; the payload pass
   // below decodes under one lease.
-  bool ok = header_status.ok() && WriteU64(f, lists.num_transactions()) &&
-            WriteU64(f, num_items) && WriteU64(f, pairs.size());
-
-  // Offset tables are written after we know the data layout; compute it.
-  const uint64_t header_bytes =
-      persistence::FileHeader::kBytes + 3 * sizeof(uint64_t);
-  const uint64_t item_table_bytes = num_items * 2 * sizeof(uint64_t);
-  const uint64_t pair_table_bytes = pairs.size() * 3 * sizeof(uint64_t);
-  uint64_t data_offset = header_bytes + item_table_bytes + pair_table_bytes;
-
-  for (Item item = 0; ok && item < num_items; ++item) {
+  uint64_t data_offset = kTablesStart + num_items * kItemEntryBytes +
+                         pairs.size() * kPairEntryBytes;
+  for (Item item = 0; item < num_items; ++item) {
     const uint64_t length = lists.ItemListSize(item);
-    ok = WriteU64(f, data_offset) && WriteU64(f, length);
+    w.WriteU64(data_offset);
+    w.WriteU64(length);
     data_offset += length * sizeof(uint32_t);
   }
-  for (size_t p = 0; ok && p < pairs.size(); ++p) {
-    const uint64_t length = lists.PairListSize(pairs[p].first, pairs[p].second);
-    const uint64_t key = (static_cast<uint64_t>(pairs[p].first) << 32) |
-                         pairs[p].second;
-    ok = WriteU64(f, key) && WriteU64(f, data_offset) && WriteU64(f, length);
+  for (const auto& [a, b] : pairs) {
+    const uint64_t length = lists.PairListSize(a, b);
+    w.WriteU64((static_cast<uint64_t>(a) << 32) | b);
+    w.WriteU64(data_offset);
+    w.WriteU64(length);
     data_offset += length * sizeof(uint32_t);
   }
 
@@ -68,69 +58,57 @@ Status TidListFile::Write(const BlockTidLists& lists,
   // raw uint32 layout this format stores.
   const TidListLease lease = lists.Lease();
   TidList decoded;
-  for (Item item = 0; ok && item < num_items; ++item) {
+  for (Item item = 0; item < num_items; ++item) {
     MaterializeInto(lists.ItemView(item), &decoded);
-    if (!decoded.empty()) {
-      ok = std::fwrite(decoded.data(), sizeof(uint32_t), decoded.size(), f) ==
-           decoded.size();
-    }
+    w.AppendRaw(decoded.data(), decoded.size() * sizeof(uint32_t));
   }
-  for (size_t p = 0; ok && p < pairs.size(); ++p) {
-    MaterializeInto(lists.PairView(pairs[p].first, pairs[p].second), &decoded);
-    if (!decoded.empty()) {
-      ok = std::fwrite(decoded.data(), sizeof(uint32_t), decoded.size(), f) ==
-           decoded.size();
-    }
+  for (const auto& [a, b] : pairs) {
+    MaterializeInto(lists.PairView(a, b), &decoded);
+    w.AppendRaw(decoded.data(), decoded.size() * sizeof(uint32_t));
   }
-  // The final buffered flush happens in fclose, so a full disk may only
-  // surface here.
-  const bool closed = std::fclose(f) == 0;
-  if (!header_status.ok()) return header_status;
-  if (!ok) return Status::IoError("short write: " + path);
-  if (!closed) return Status::IoError("close failed: " + path);
-  return Status::OK();
-}
-
-TidListFileReader::~TidListFileReader() {
-  if (file_ != nullptr) std::fclose(file_);
+  return persistence::WriteFile(path, {w.buffer()});
 }
 
 Result<std::unique_ptr<TidListFileReader>> TidListFileReader::Open(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
-  auto reader = std::unique_ptr<TidListFileReader>(new TidListFileReader());
-  reader->file_ = f;
-
-  auto header = persistence::FileHeader::ReadFrom(
-      f, persistence::FormatId::kTidListIndexed, kTidListIndexedVersion, path);
-  if (!header.ok()) return header.status();
-  std::fseek(f, 0, SEEK_END);
-  reader->file_bytes_ = static_cast<uint64_t>(std::ftell(f));
-  const uint64_t max_lists = reader->file_bytes_ / (2 * sizeof(uint64_t));
-  std::fseek(f, static_cast<long>(persistence::FileHeader::kBytes), SEEK_SET);
-  uint64_t num_transactions = 0;
-  uint64_t num_items = 0;
-  uint64_t num_pairs = 0;
-  bool ok = ReadU64(f, &num_transactions) && ReadU64(f, &num_items) &&
-            ReadU64(f, &num_pairs) && num_items <= max_lists &&
-            num_pairs <= max_lists;
-  if (ok) {
-    reader->num_transactions_ = num_transactions;
-    reader->index_.resize(num_items);
-    for (size_t i = 0; ok && i < num_items; ++i) {
-      ok = ReadU64(f, &reader->index_[i].offset) &&
-           ReadU64(f, &reader->index_[i].length);
-    }
-    for (size_t p = 0; ok && p < num_pairs; ++p) {
-      uint64_t key = 0;
-      Extent extent;
-      ok = ReadU64(f, &key) && ReadU64(f, &extent.offset) &&
-           ReadU64(f, &extent.length);
-      if (ok) reader->pair_index_.emplace(key, extent);
-    }
+  DEMON_ASSIGN_OR_RETURN(persistence::File file,
+                         persistence::File::OpenForRead(path));
+  DEMON_ASSIGN_OR_RETURN(const uint64_t file_bytes, file.Size());
+  std::string head(std::min(file_bytes, kTablesStart), '\0');
+  DEMON_RETURN_NOT_OK(file.ReadAt(0, head.data(), head.size()));
+  persistence::Reader r(head);
+  DEMON_RETURN_NOT_OK(
+      persistence::FileHeader::Consume(r,
+                                       persistence::FormatId::kTidListIndexed,
+                                       kTidListIndexedVersion, path)
+          .status());
+  const uint64_t num_transactions = r.ReadU64();
+  const uint64_t num_items = r.ReadU64();
+  const uint64_t num_pairs = r.ReadU64();
+  // The tables must fit in the file, which also bounds the allocations
+  // below against corrupt counts.
+  const uint64_t table_room = file_bytes - head.size();
+  if (!r.ok() || num_items > table_room / kItemEntryBytes ||
+      num_pairs >
+          (table_room - num_items * kItemEntryBytes) / kPairEntryBytes) {
+    return Status::DataLoss("corrupt TID-list file: " + path);
   }
-  if (!ok) return Status::DataLoss("corrupt TID-list file: " + path);
+  std::string tables(num_items * kItemEntryBytes + num_pairs * kPairEntryBytes,
+                     '\0');
+  DEMON_RETURN_NOT_OK(file.ReadAt(kTablesStart, tables.data(), tables.size()));
+
+  auto reader = std::unique_ptr<TidListFileReader>(
+      new TidListFileReader(std::move(file)));
+  reader->file_bytes_ = file_bytes;
+  reader->num_transactions_ = num_transactions;
+  persistence::Reader t(tables);
+  reader->index_.resize(num_items);
+  // Braced initializers evaluate left to right: offset, then length.
+  for (Extent& extent : reader->index_) extent = {t.ReadU64(), t.ReadU64()};
+  for (uint64_t p = 0; p < num_pairs; ++p) {
+    const uint64_t key = t.ReadU64();
+    reader->pair_index_.emplace(key, Extent{t.ReadU64(), t.ReadU64()});
+  }
   return reader;
 }
 
@@ -143,13 +121,8 @@ Status TidListFileReader::ReadExtent(const Extent& extent, TidList* out) {
   }
   out->resize(extent.length);
   if (extent.length == 0) return Status::OK();
-  if (std::fseek(file_, static_cast<long>(extent.offset), SEEK_SET) != 0) {
-    return Status::IoError("seek failed");
-  }
-  if (std::fread(out->data(), sizeof(uint32_t), extent.length, file_) !=
-      extent.length) {
-    return Status::IoError("short read");
-  }
+  DEMON_RETURN_NOT_OK(file_.ReadAt(extent.offset, out->data(),
+                                   extent.length * sizeof(uint32_t)));
   bytes_read_ += extent.length * sizeof(uint32_t);
   return Status::OK();
 }

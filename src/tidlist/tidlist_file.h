@@ -1,7 +1,6 @@
 #ifndef DEMON_TIDLIST_TIDLIST_FILE_H_
 #define DEMON_TIDLIST_TIDLIST_FILE_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -9,6 +8,7 @@
 
 #include "common/status.h"
 #include "data/types.h"
+#include "persistence/file.h"
 #include "tidlist/tidlist_store.h"
 
 namespace demon {
@@ -26,12 +26,10 @@ class TidListFile {
 };
 
 /// \brief Reader over a TidListFile: opens the file, loads the offset
-/// tables (small), and serves individual lists with one seek + read each.
-/// Tracks bytes read so benchmarks can report true I/O volume.
+/// tables (small), and serves individual lists with one positioned read
+/// each. Tracks bytes read so benchmarks can report true I/O volume.
 class TidListFileReader {
  public:
-  ~TidListFileReader();
-
   TidListFileReader(const TidListFileReader&) = delete;
   TidListFileReader& operator=(const TidListFileReader&) = delete;
 
@@ -65,7 +63,8 @@ class TidListFileReader {
     uint64_t length = 0;  // number of TIDs
   };
 
-  TidListFileReader() = default;
+  explicit TidListFileReader(persistence::File file)
+      : file_(std::move(file)) {}
 
   static uint64_t PairKey(Item a, Item b) {
     if (a > b) std::swap(a, b);
@@ -74,7 +73,7 @@ class TidListFileReader {
 
   [[nodiscard]] Status ReadExtent(const Extent& extent, TidList* out);
 
-  std::FILE* file_ = nullptr;
+  persistence::File file_;
   uint64_t file_bytes_ = 0;
   size_t num_transactions_ = 0;
   std::vector<Extent> index_;

@@ -1,15 +1,11 @@
 #include "tidlist/tidlist_store.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <unordered_set>
 
 #include "common/check.h"
+#include "persistence/file.h"
 
 namespace demon {
 
@@ -81,7 +77,7 @@ void BlockTidLists::EncodePayload(
   std::vector<uint8_t> payload;
   const auto append = [&payload](const EncodedTidList& enc) {
     // 8-byte list alignment lets the raw kernels load uint32s straight out
-    // of the (possibly mmapped) extent.
+    // of the extent.
     while (payload.size() % 8 != 0) payload.push_back(0);
     Extent ex;
     ex.offset = payload.size();
@@ -109,7 +105,6 @@ void BlockTidLists::EncodePayload(
 
 BlockTidLists::~BlockTidLists() {
   if (pager_ != nullptr) pager_->Forget(this);
-  if (map_base_ != nullptr) ::munmap(map_base_, map_bytes_);
 }
 
 size_t BlockTidLists::ItemListSize(Item item) const {
@@ -217,27 +212,11 @@ void BlockTidLists::FaultIn(const ExtentPager& pager,
   DEMON_CHECK_MSG(&pager == pager_.get(),
                   "fault-in driven by a foreign pager");
   pager_->mutex_.AssertHeld();
-  const int fd = ::open(spill_path.c_str(), O_RDONLY);
-  DEMON_CHECK_MSG(fd >= 0, "cannot open a TID-list spill file");
-  void* base = ::mmap(nullptr, payload_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (base != MAP_FAILED) {
-    ::close(fd);
-    map_base_ = base;
-    map_bytes_ = payload_bytes_;
-    payload_.store(static_cast<const uint8_t*>(base),
-                   std::memory_order_release);
-    return;
-  }
-  // mmap unavailable (exotic filesystems): plain read fallback.
+  auto file = persistence::File::OpenForRead(spill_path);
+  DEMON_CHECK_MSG(file.ok(), "cannot open a TID-list spill file");
   owned_.resize(payload_bytes_);
-  size_t done = 0;
-  while (done < payload_bytes_) {
-    const ssize_t n = ::pread(fd, owned_.data() + done, payload_bytes_ - done,
-                              static_cast<off_t>(done));
-    DEMON_CHECK_MSG(n > 0, "short read from a TID-list spill file");
-    done += static_cast<size_t>(n);
-  }
-  ::close(fd);
+  DEMON_CHECK_MSG(file.value().ReadAt(0, owned_.data(), payload_bytes_).ok(),
+                  "short read from a TID-list spill file");
   payload_.store(owned_.data(), std::memory_order_release);
 }
 
@@ -247,12 +226,10 @@ void BlockTidLists::Spill(const ExtentPager& pager,
   pager_->mutex_.AssertHeld();
   const uint8_t* base = payload_.load(std::memory_order_acquire);
   DEMON_CHECK_MSG(base != nullptr, "spilling an evicted payload");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  DEMON_CHECK_MSG(f != nullptr, "cannot open a TID-list spill file for write");
-  const bool written =
-      std::fwrite(base, 1, payload_bytes_, f) == payload_bytes_;
-  const bool closed = std::fclose(f) == 0;
-  DEMON_CHECK_MSG(written && closed, "TID-list spill write failed");
+  const Status written = persistence::WriteFile(
+      path, {std::string_view(reinterpret_cast<const char*>(base),
+                              payload_bytes_)});
+  DEMON_CHECK_MSG(written.ok(), "TID-list spill write failed");
 }
 
 void BlockTidLists::ReleasePayload(const ExtentPager& pager) const {
@@ -260,11 +237,6 @@ void BlockTidLists::ReleasePayload(const ExtentPager& pager) const {
                   "eviction driven by a foreign pager");
   pager_->mutex_.AssertHeld();
   payload_.store(nullptr, std::memory_order_release);
-  if (map_base_ != nullptr) {
-    ::munmap(map_base_, map_bytes_);
-    map_base_ = nullptr;
-    map_bytes_ = 0;
-  }
   std::vector<uint8_t>().swap(owned_);
 }
 
@@ -290,11 +262,6 @@ void BlockTidLists::SetItemListForTest(Item item, const TidList& list) {
     TidList decoded;
     MaterializeInto(ViewOf(pair_extents_.find(key)->second), &decoded);
     pair_lists.emplace_back(key, std::move(decoded));
-  }
-  if (map_base_ != nullptr) {
-    ::munmap(map_base_, map_bytes_);
-    map_base_ = nullptr;
-    map_bytes_ = 0;
   }
   EncodePayload(item_lists, pair_lists, item);
   if (pager_ != nullptr) pager_->OnPayloadRebuilt(this, old_bytes);

@@ -82,7 +82,7 @@ class TidListLease {
 /// always resident and answers every metadata query — sizes, pair
 /// presence, slot accounting — without touching the payload, which is what
 /// lets cover plans be built for evicted blocks without I/O. The payload
-/// itself may be spilled to disk and mmapped back by an ExtentPager;
+/// itself may be spilled to disk and read back by an ExtentPager;
 /// callers hold a `Lease()` across any use of views.
 class BlockTidLists {
  public:
@@ -211,7 +211,7 @@ class BlockTidLists {
   // body re-asserts that `pager` is `*pager_` at runtime, which is the
   // aliasing fact the static analysis cannot prove.
 
-  /// Mmaps (or reads) the spill file back in.
+  /// Reads the spill file back in.
   void FaultIn(const ExtentPager& pager, const std::string& spill_path) const
       DEMON_REQUIRES(pager.mutex_);
   /// Writes the spill file: the payload bytes alone, at offset 0 (the
@@ -219,7 +219,7 @@ class BlockTidLists {
   /// immutable.
   void Spill(const ExtentPager& pager, const std::string& path) const
       DEMON_REQUIRES(pager.mutex_);
-  /// Frees the resident payload (munmap or free).
+  /// Frees the resident payload.
   void ReleasePayload(const ExtentPager& pager) const
       DEMON_REQUIRES(pager.mutex_);
 
@@ -234,13 +234,11 @@ class BlockTidLists {
   /// never detached. Mutable: paging is caching state on a logically
   /// immutable block.
   mutable std::shared_ptr<ExtentPager> pager_;
-  /// Payload backing storage: exactly one of `owned_` / the mapping at
-  /// `map_base_` is live while resident. Written only by the pager-mutex
-  /// transitions above — the annotation names the mutex through `pager_`,
-  /// which is set before the block is ever managed and never changes.
+  /// Payload backing storage while resident. Written only by the
+  /// pager-mutex transitions above — the annotation names the mutex
+  /// through `pager_`, which is set before the block is ever managed and
+  /// never changes.
   mutable std::vector<uint8_t> owned_ DEMON_GUARDED_BY(pager_->mutex_);
-  mutable void* map_base_ DEMON_GUARDED_BY(pager_->mutex_) = nullptr;
-  mutable size_t map_bytes_ DEMON_GUARDED_BY(pager_->mutex_) = 0;
   /// Lock-free reader side: views and residency probes only need these.
   mutable std::atomic<const uint8_t*> payload_{nullptr};
   mutable std::atomic<uint32_t> pins_{0};

@@ -138,14 +138,86 @@ TEST(TidListFileTest, PairListsRoundTrip) {
 }
 
 TEST(TidListFileTest, FullDiskIsIoError) {
-  // Every write to /dev/full fails with ENOSPC. A block this small sits in
-  // the stdio buffer until fclose, so only the close can report it.
+  // Every write to /dev/full fails with ENOSPC, which the write itself
+  // reports.
   if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
   const TransactionBlock block(
       {Transaction({0, 2}), Transaction({1, 2}), Transaction({0, 1, 2})}, 0);
   const auto lists = BlockTidLists::Build(block, 3);
   const Status status = TidListFile::Write(*lists, "/dev/full");
   EXPECT_EQ(status.code(), StatusCode::kIoError) << status;
+}
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+// Recorded before file I/O moved into persistence/file: the transaction
+// file and the indexed TID-list file (item and pair lists) of a fixed
+// Quest block must keep exactly these bytes, and the readers must keep
+// reporting the same byte counts (fig2_disk's columns).
+constexpr size_t kPinnedTxBytes = 51672;
+constexpr uint64_t kPinnedTxHash = 0x9912fe6d30f536c3ULL;
+constexpr uint64_t kPinnedScanBytesRead = 51640;
+constexpr size_t kPinnedTlBytes = 153740;
+constexpr uint64_t kPinnedTlHash = 0xc1017a1e0a82ffd1ULL;
+constexpr uint64_t kPinnedListBytesRead = 146196;
+
+TEST(TransactionFileTest, BytesAndScanCountersArePinned) {
+  const DiskFixture fixture = MakeFixture(82, true);
+  const std::string bytes = FileBytes(fixture.tx_path);
+  EXPECT_EQ(bytes.size(), kPinnedTxBytes);
+  EXPECT_EQ(Fnv1a64(bytes), kPinnedTxHash);
+
+  auto scanner = TransactionFileScanner::Open(fixture.tx_path);
+  ASSERT_TRUE(scanner.ok()) << scanner.status();
+  ASSERT_TRUE(scanner.value()->Scan([](const Transaction&) {}).ok());
+  EXPECT_EQ(scanner.value()->bytes_read(), kPinnedScanBytesRead);
+  // A second scan rewinds and counts the same bytes again.
+  ASSERT_TRUE(scanner.value()->Scan([](const Transaction&) {}).ok());
+  EXPECT_EQ(scanner.value()->bytes_read(), 2 * kPinnedScanBytesRead);
+}
+
+TEST(TidListFileTest, BytesAndReadCountersArePinned) {
+  const DiskFixture fixture = MakeFixture(83, true);
+  const std::string bytes = FileBytes(fixture.tl_path);
+  EXPECT_EQ(bytes.size(), kPinnedTlBytes);
+  EXPECT_EQ(Fnv1a64(bytes), kPinnedTlHash);
+
+  PairMaterializationSpec spec;
+  spec.pairs = Apriori({fixture.block}, 0.03, fixture.num_items)
+                   .Frequent2ItemsetsBySupport();
+  const auto lists =
+      BlockTidLists::Build(*fixture.block, fixture.num_items, &spec);
+  auto reader = TidListFileReader::Open(fixture.tl_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  TidList list;
+  for (Item item = 0; item < fixture.num_items; ++item) {
+    ASSERT_TRUE(reader.value()->ReadItemList(item, &list).ok());
+  }
+  auto pairs = lists->MaterializedPairs();
+  ASSERT_FALSE(pairs.empty());
+  for (const auto& [a, b] : pairs) {
+    ASSERT_TRUE(reader.value()->ReadPairList(a, b, &list).ok());
+  }
+  EXPECT_EQ(reader.value()->bytes_read(), kPinnedListBytesRead);
 }
 
 TEST(DiskCountingTest, MatchesInMemoryCounting) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include "core/monitor_spec.h"
 #include "persistence/block_codec.h"
+#include "persistence/file.h"
 #include "persistence/file_header.h"
 #include "persistence/serializer.h"
 #include "persistence/wal.h"
@@ -202,6 +205,52 @@ TEST(FileHeaderTest, TruncatedHeaderIsDataLossAndMissingFileIsIoError) {
                 .status()
                 .code(),
             StatusCode::kIoError);
+}
+
+// ---------------------------------------------------------------------------
+// File layer.
+
+TEST(FileTest, WriteReadAppendTruncateRoundTrip) {
+  const std::string path = TempPath("file_roundtrip.bin");
+  ASSERT_TRUE(persistence::WriteFile(path, {"head", "", "payload"}).ok());
+  auto read = persistence::ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), "headpayload");
+
+  auto file = persistence::File::OpenForAppend(path);
+  ASSERT_TRUE(file.ok()) << file.status();
+  ASSERT_TRUE(file.value().Append({"+", "tail"}).ok());
+  char middle[4];
+  ASSERT_TRUE(file.value().ReadAt(4, middle, sizeof(middle)).ok());
+  EXPECT_EQ(std::string(middle, sizeof(middle)), "payl");
+  ASSERT_TRUE(file.value().Truncate(4).ok());
+  ASSERT_TRUE(file.value().Append({"!"}).ok());
+  EXPECT_EQ(file.value().Size().value(), 5u);
+  EXPECT_EQ(persistence::ReadFile(path).value(), "head!");
+  // Reading past the end is torn input, not an OS failure.
+  EXPECT_EQ(file.value().ReadAt(2, middle, sizeof(middle)).code(),
+            StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(FileTest, MissingFileIsIoError) {
+  const std::string path = TempPath("no_such_dir/never_written.bin");
+  EXPECT_EQ(persistence::ReadFile(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(persistence::File::OpenForRead(path).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(persistence::File::OpenForAppend(path).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(persistence::WriteFile(path, {"x"}).code(), StatusCode::kIoError);
+}
+
+TEST(FileTest, FullDiskIsIoError) {
+  // Every write to /dev/full fails with ENOSPC.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  EXPECT_EQ(persistence::WriteFile("/dev/full", {"header", "payload"}).code(),
+            StatusCode::kIoError);
+  auto file = persistence::File::OpenForAppend("/dev/full");
+  ASSERT_TRUE(file.ok()) << file.status();
+  EXPECT_EQ(file.value().Append({"record"}).code(), StatusCode::kIoError);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,6 +451,37 @@ TEST(WalTest, TornTailIsTruncatedCorruptRecordIsDataLoss) {
             StatusCode::kDataLoss);
 }
 
+TEST(WalTest, HostileLengthIsATornTailNotAnAbort) {
+  // A valid header, kind 1, then a length that wraps when the checksum's
+  // 8 bytes are added to it: 33 bytes that must read as a torn tail.
+  const std::string path = TempPath("wal_hostile_length.bin");
+  Writer w;
+  FileHeader::Append(w, FormatId::kWriteAheadLog, 1);
+  w.WriteU8(1);
+  w.WriteU64(0xFFFFFFFFFFFFFFF8ULL);
+  ASSERT_EQ(w.size(), 33u);
+  ASSERT_TRUE(WriteFileBytes(path, w.buffer()).ok());
+
+  persistence::WriteAheadLog::Replayer replayer;
+  size_t calls = 0;
+  replayer.transactions = [&calls](std::shared_ptr<const TransactionBlock>) {
+    ++calls;
+    return Status::OK();
+  };
+  EXPECT_TRUE(persistence::WriteAheadLog::Replay(path, replayer).ok());
+  EXPECT_EQ(calls, 0u);
+  {
+    auto wal = persistence::WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    EXPECT_EQ(wal.value()->num_records(), 0u);
+  }
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes.value().size(), FileHeader::kBytes);
+  EXPECT_TRUE(persistence::WriteAheadLog::Replay(path, replayer).ok());
+  EXPECT_EQ(calls, 0u);
+}
+
 TEST(WalTest, WrongFormatFileIsInvalidArgument) {
   const std::string path = TempPath("wal_wrong_format.bin");
   Writer payload;
@@ -432,6 +512,37 @@ TEST(WalTest, ResetEmptiesTheLog) {
   };
   ASSERT_TRUE(persistence::WriteAheadLog::Replay(path, replayer).ok());
   EXPECT_EQ(replayed, 1u);
+}
+
+// Recorded before file I/O moved into persistence/file: a WAL holding one
+// record of each payload kind must keep exactly these bytes.
+constexpr size_t kPinnedWalBytes = 329;
+constexpr uint64_t kPinnedWalHash = 0x69ad745ec6b3c9ecULL;
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(WalTest, BytesArePinned) {
+  const std::string path = TempPath("wal_pinned.bin");
+  std::remove(path.c_str());
+  {
+    auto wal = persistence::WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal.value()->Append(MakeTxBlock(1)).ok());
+    ASSERT_TRUE(wal.value()->Append(MakePtBlock(2)).ok());
+    ASSERT_TRUE(wal.value()->Append(MakeLbBlock(3)).ok());
+  }
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes.value().size(), kPinnedWalBytes);
+  EXPECT_EQ(Fnv1a64(bytes.value()), kPinnedWalHash);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

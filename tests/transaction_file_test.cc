@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "persistence/file.h"
 #include "persistence/file_header.h"
 
 namespace demon {
@@ -25,6 +26,14 @@ TransactionBlock SampleBlock() {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// Writes a file holding a DEMON header and nothing else.
+Status WriteHeaderOnly(const std::string& path, persistence::FormatId format,
+                       uint32_t version) {
+  persistence::Writer w;
+  persistence::FileHeader::Append(w, format, version);
+  return persistence::WriteFile(path, {w.buffer()});
 }
 
 long FileSize(const std::string& path) {
@@ -89,14 +98,8 @@ TEST(TransactionFileTest, WrongFormatIdIsRejected) {
   // A valid DEMON file of a different format must be refused up front, not
   // misparsed: a serialized itemset-model header is not a transaction file.
   const std::string path = TempPath("tx_wrong_format.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  persistence::FileHeader header;
-  header.format_id =
-      static_cast<uint32_t>(persistence::FormatId::kItemsetModel);
-  header.version = 1;
-  ASSERT_TRUE(header.WriteTo(f).ok());
-  std::fclose(f);
+  ASSERT_TRUE(WriteHeaderOnly(path, persistence::FormatId::kItemsetModel, 1)
+                  .ok());
 
   auto result = TransactionFile::Read(path);
   ASSERT_FALSE(result.ok());
@@ -106,14 +109,9 @@ TEST(TransactionFileTest, WrongFormatIdIsRejected) {
 
 TEST(TransactionFileTest, FutureVersionIsRejected) {
   const std::string path = TempPath("tx_future_version.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  persistence::FileHeader header;
-  header.format_id =
-      static_cast<uint32_t>(persistence::FormatId::kTransactionFile);
-  header.version = 999;
-  ASSERT_TRUE(header.WriteTo(f).ok());
-  std::fclose(f);
+  ASSERT_TRUE(
+      WriteHeaderOnly(path, persistence::FormatId::kTransactionFile, 999)
+          .ok());
 
   auto result = TransactionFile::Read(path);
   ASSERT_FALSE(result.ok());
@@ -137,9 +135,28 @@ TEST(TransactionFileTest, TruncatedPayloadIsDataLoss) {
   std::remove(path.c_str());
 }
 
+TEST(TransactionFileTest, HostileCountIsDataLoss) {
+  // A valid header, then a count of 2^40 transactions in a 32-byte file:
+  // the reader must refuse it before reserving room for that many.
+  const std::string path = TempPath("tx_hostile_count.bin");
+  persistence::Writer w;
+  persistence::FileHeader::Append(w, persistence::FormatId::kTransactionFile,
+                                  1);
+  w.WriteU64(uint64_t{1} << 40);
+  ASSERT_EQ(w.size(), 32u);
+  ASSERT_TRUE(persistence::WriteFile(path, {w.buffer()}).ok());
+
+  auto result = TransactionFile::Read(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(TransactionFileScanner::Open(path).status().code(),
+            StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
 TEST(TransactionFileTest, FullDiskIsIoError) {
-  // Every write to /dev/full fails with ENOSPC. A block this small sits in
-  // the stdio buffer until fclose, so only the close can report it.
+  // Every write to /dev/full fails with ENOSPC, which the write itself
+  // reports.
   if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
   const Status status = TransactionFile::Write(SampleBlock(), "/dev/full");
   EXPECT_EQ(status.code(), StatusCode::kIoError) << status;

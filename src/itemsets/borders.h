@@ -60,8 +60,11 @@ class BordersMaintainer {
   struct UpdateStats {
     double detection_seconds = 0.0;
     double update_seconds = 0.0;
-    /// New candidate itemsets whose support was counted over the history.
+    /// New candidate itemsets of the update phase.
     size_t new_candidates = 0;
+    /// Of those, the ones revived from a retired row with their exact
+    /// count; only the rest were counted over the history.
+    size_t revived_candidates = 0;
     /// Iterations of the update loop (0 if detection found no change).
     size_t update_iterations = 0;
     /// Counting-volume metrics of the update phase.
@@ -102,7 +105,8 @@ class BordersMaintainer {
 
   /// Binds `registry` (not owned; nullable) for phase spans
   /// ("tidlist-build" / "borders-detect" / "borders-update"), the
-  /// `borders/{detection,update}_seconds` histograms, and — forwarded to
+  /// `borders/{detection,update}_seconds` histograms, the
+  /// `borders/revived_candidates` counter, and — forwarded to
   /// the counting kernel — per-shard counting spans and counters. The
   /// UpdateStats timings remain available in every build; the histograms
   /// and spans are DEMON_TELEMETRY-gated.
@@ -117,6 +121,10 @@ class BordersMaintainer {
       update_hist_ = registry == nullptr
                          ? nullptr
                          : registry->histogram("borders/update_seconds");
+      revived_counter_ =
+          registry == nullptr
+              ? nullptr
+              : registry->counter("borders/revived_candidates");
     }
   }
 
@@ -130,15 +138,18 @@ class BordersMaintainer {
 
   /// The decisive (and expensive) audit: re-mines the selected blocks from
   /// scratch with Apriori and requires the incrementally maintained model
-  /// to match entry-for-entry — the exact-equivalence guarantee of §3.1.1.
-  /// Meant for DEMON_AUDIT builds at block boundaries, where every test
-  /// stream doubles as an end-to-end correctness fuzz.
+  /// to match entry-for-entry — the exact-equivalence guarantee of §3.1.1
+  /// — and recounts every retired-row entry, which must name an untracked
+  /// itemset with exactly its support. Meant for DEMON_AUDIT builds at
+  /// block boundaries, where every test stream doubles as an end-to-end
+  /// correctness fuzz.
   void AuditRescratchInto(audit::AuditResult* audit) const;
 
   /// Serializes the maintainer's dynamic state: the model, the selected
   /// block ids, and — for ECUT/ECUT+ — each block's materialized pair set,
   /// so restore rebuilds byte-identical TID-lists. Blocks themselves are
-  /// stored once by the checkpoint container, not here.
+  /// stored once by the checkpoint container, not here; neither are
+  /// retired rows, a cache a restored maintainer starts without.
   void SaveState(persistence::Writer& w) const;
 
   /// Restores state saved by SaveState into a freshly constructed
@@ -170,8 +181,14 @@ class BordersMaintainer {
       const std::vector<ItemsetTrie::NodeId>& seeds) const;
 
   /// Drops tracked itemsets that have an infrequent (k-1)-subset after
-  /// the given nodes were demoted (restores the NB- invariant).
+  /// the given nodes were demoted (restores the NB- invariant), keeping
+  /// each one's count in the retired row of a (k-1)-subset that stays
+  /// tracked; rows are capped at half the tracked itemsets.
   void PruneBorder(const std::vector<ItemsetTrie::NodeId>& demoted);
+
+  /// Takes the retired count of `candidate` from the row of the
+  /// (k-1)-subset holding it; false when no row does.
+  bool Revive(const Itemset& candidate, uint64_t* count);
 
   BordersOptions options_;
   ItemsetModel model_;
@@ -185,6 +202,7 @@ class BordersMaintainer {
   telemetry::TelemetryRegistry* telemetry_ = nullptr;
   telemetry::Histogram* detection_hist_ = nullptr;
   telemetry::Histogram* update_hist_ = nullptr;
+  telemetry::Counter* revived_counter_ = nullptr;
 };
 
 }  // namespace demon

@@ -107,7 +107,7 @@ std::vector<uint64_t> CountingContext::PtScan(
     nodes.push_back(candidates_.Insert(itemset));
   }
   const std::vector<uint64_t>& node_counts =
-      CountOnTrie(candidates_, blocks, itemsets.size(),
+      CountOnTrie(candidates_, blocks, itemsets.size(), /*retired_sign=*/0,
                   DEMON_SPAN_ID(call_span), stats);
   std::vector<uint64_t> counts;
   counts.reserve(nodes.size());
@@ -120,25 +120,26 @@ std::vector<uint64_t> CountingContext::PtScan(
 const std::vector<uint64_t>& CountingContext::PtScanNodes(
     const ItemsetTrie& trie,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-    CountingStats* stats) {
+    int retired_sign, CountingStats* stats) {
   DEMON_TRACE_SPAN(call_span, telemetry_, "pt-scan", "counting");
-  return CountOnTrie(trie, blocks, trie.size(), DEMON_SPAN_ID(call_span),
-                     stats);
+  return CountOnTrie(trie, blocks, trie.size(), retired_sign,
+                     DEMON_SPAN_ID(call_span), stats);
 }
 
 const std::vector<uint64_t>& CountingContext::CountOnTrie(
     const ItemsetTrie& trie,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-    size_t num_itemsets, [[maybe_unused]] uint64_t call_span_id,
-    CountingStats* stats) {
+    size_t num_itemsets, int retired_sign,
+    [[maybe_unused]] uint64_t call_span_id, CountingStats* stats) {
   size_t total_transactions = 0;
   for (const auto& block : blocks) total_transactions += block->size();
   const size_t shards =
       ShardCountFor(total_transactions, kMinTransactionsPerShard);
   PrepareScratch(shards);
 
-  // The trie is read-only during the walk, so every shard shares it and
-  // owns only a per-node count array.
+  // The trie's structure is read-only during the walk, so every shard
+  // shares it and owns only a per-node count array; retired-row counts
+  // are updated in place with atomics.
   const size_t num_nodes = trie.node_capacity();
   const bool collect_stats = CollectStats(stats);
   ParallelFor(shards > 1 ? pool_ : nullptr, shards, [&](size_t shard) {
@@ -161,7 +162,7 @@ const std::vector<uint64_t>& CountingContext::CountOnTrie(
       for (size_t i = lo; i < hi; ++i) {
         const std::vector<Item>& items = transactions[i].items();
         trie.CountTransactionInto(items.data(), items.data() + items.size(),
-                                  counts);
+                                  counts, retired_sign);
         if (collect_stats) touched += items.size();
       }
       offset += transactions.size();

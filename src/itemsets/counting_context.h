@@ -92,11 +92,13 @@ class CountingContext {
   /// result, indexed by NodeId (size trie.node_capacity()), holds every
   /// tracked node's support over `blocks`; slots of untracked nodes are
   /// meaningless. It is a buffer of this context, valid until its next
-  /// counting call.
+  /// counting call. The same walk adds `retired_sign` (+1 for blocks
+  /// joining the history, -1 for blocks leaving it) to the trie's
+  /// retired-row entries the blocks' transactions hold.
   const std::vector<uint64_t>& PtScanNodes(
       const ItemsetTrie& trie,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-      CountingStats* stats = nullptr);
+      int retired_sign, CountingStats* stats = nullptr);
 
   /// ECUT / ECUT+: candidate itemsets are sharded across the pool; each
   /// shard intersects per-block TID-list views with its own reusable
@@ -179,7 +181,8 @@ class CountingContext {
   const std::vector<uint64_t>& CountOnTrie(
       const ItemsetTrie& trie,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
-      size_t num_itemsets, uint64_t call_span_id, CountingStats* stats);
+      size_t num_itemsets, int retired_sign, uint64_t call_span_id,
+      CountingStats* stats);
 
   /// Folds every shard's stats into `*stats` (no-op when null).
   void MergeStats(size_t shards, CountingStats* stats) const;

@@ -31,7 +31,8 @@ void SerializeItemsetModel(persistence::Writer& w, const ItemsetModel& model) {
   });
 }
 
-void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model) {
+void DeserializeItemsetModel(persistence::Reader& r, size_t max_items,
+                             ItemsetModel* model) {
   const double minsup = r.ReadDouble();
   const uint64_t num_items = r.ReadU64();
   const uint64_t num_transactions = r.ReadU64();
@@ -39,6 +40,10 @@ void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model) {
   if (!r.ok()) return;
   if (!(minsup > 0.0 && minsup < 1.0)) {
     r.Fail("model minsup outside (0, 1)");
+    return;
+  }
+  if (num_items > max_items) {
+    r.Fail("model item universe larger than the caller's");
     return;
   }
   ItemsetModel loaded(minsup, num_items);
@@ -73,14 +78,15 @@ Status WriteItemsetModel(const ItemsetModel& model, const std::string& path) {
                                        kModelFormatVersion, payload);
 }
 
-Result<ItemsetModel> ReadItemsetModel(const std::string& path) {
+Result<ItemsetModel> ReadItemsetModel(const std::string& path,
+                                      size_t max_items) {
   DEMON_ASSIGN_OR_RETURN(
       const std::string payload,
       persistence::ReadPayloadFile(path, persistence::FormatId::kItemsetModel,
                                    kModelFormatVersion));
   persistence::Reader r(payload);
   ItemsetModel model;
-  DeserializeItemsetModel(r, &model);
+  DeserializeItemsetModel(r, max_items, &model);
   DEMON_RETURN_NOT_OK(r.status());
   if (!r.AtEnd()) {
     return Status::DataLoss("trailing bytes after model payload: " + path);

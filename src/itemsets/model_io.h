@@ -20,7 +20,10 @@ namespace demon {
 /// corrupted or truncated input is rejected with InvalidArgument/DataLoss.
 [[nodiscard]] Status WriteItemsetModel(const ItemsetModel& model, const std::string& path);
 
-[[nodiscard]] Result<ItemsetModel> ReadItemsetModel(const std::string& path);
+/// Reads a model mined over an item universe of at most `max_items`
+/// items; a file claiming a larger one is rejected as DataLoss.
+[[nodiscard]] Result<ItemsetModel> ReadItemsetModel(const std::string& path,
+                                                    size_t max_items);
 
 /// Appends the model payload (no file header) to `w`. Entries are emitted
 /// in canonical lexicographic order, so equal models serialize to equal
@@ -29,8 +32,11 @@ void SerializeItemsetModel(persistence::Writer& w, const ItemsetModel& model);
 
 /// Decodes a model payload written by SerializeItemsetModel. Corruption
 /// latches a DataLoss on `r`; `model` is only valid when `r.ok()` holds
-/// afterwards.
-void DeserializeItemsetModel(persistence::Reader& r, ItemsetModel* model);
+/// afterwards. `max_items` is the caller's item universe: a payload
+/// claiming a larger one fails before anything is inserted, so a hostile
+/// universe cannot size the trie's item index.
+void DeserializeItemsetModel(persistence::Reader& r, size_t max_items,
+                             ItemsetModel* model);
 
 /// Serialized size of a model file in bytes, without writing it (what
 /// §3.2.3 calls the "negligible" additional disk space for the w - 1

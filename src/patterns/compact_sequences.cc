@@ -211,7 +211,7 @@ Status CompactSequenceMiner::LoadState(persistence::Reader& r) {
   models_.resize(num_blocks);
   for (size_t i = 0; i < num_blocks; ++i) {
     if (blocks_[i] == nullptr) continue;
-    DeserializeItemsetModel(r, &models_[i]);
+    DeserializeItemsetModel(r, options_.focus.num_items, &models_[i]);
     if (!r.ok()) return r.status();
   }
   pair_.resize(num_blocks);

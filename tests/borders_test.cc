@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/random.h"
+#include "common/telemetry.h"
+#include "common/thread_pool.h"
 #include "datagen/quest_generator.h"
 #include "itemsets/apriori.h"
+#include "persistence/block_codec.h"
 
 namespace demon {
 namespace {
@@ -248,6 +253,306 @@ TEST(BordersTest, ManySmallBlocksStressPromotionDemotionCycles) {
     so_far.push_back(block);
     ExpectModelsEqual(maintainer.model(),
                       Apriori(so_far, options.minsup, options.num_items));
+  }
+}
+
+// --- Retired-extension rows --------------------------------------------
+
+constexpr CountingStrategy kAllStrategies[] = {CountingStrategy::kPtScan,
+                                               CountingStrategy::kEcut,
+                                               CountingStrategy::kEcutPlus};
+
+constexpr double kOscillatingMinsup = 0.25;
+
+// A stream whose border oscillates: {0} — always bought with 1 and 2 —
+// has a cumulative count of exactly MinCount (25 b) after the odd blocks
+// b = 1, 3, 5, ... and one short of it after the even ones, so {0},
+// {0,1}, {0,2} and {0,1,2} are demoted and re-promoted block after block
+// while items 1..6 stay frequent. Item 0's extensions {0,x} stay in the
+// border while {0} is frequent, so every demotion prunes them and every
+// re-promotion generates them again. Block ids are the block indices.
+std::vector<BlockPtr> OscillatingBlocks(size_t num_blocks,
+                                        size_t block_size = 100) {
+  Rng rng(77);
+  std::vector<BlockPtr> blocks;
+  uint64_t cumulative = 0;
+  for (size_t b = 1; b <= num_blocks; ++b) {
+    // MinCount after b blocks is block_size * b / 4 exactly.
+    const uint64_t target = block_size * b / 4 - (b % 2 == 0 ? 1 : 0);
+    const uint64_t with_zero = target - cumulative;
+    cumulative = target;
+    std::vector<Transaction> transactions;
+    for (size_t t = 0; t < block_size; ++t) {
+      std::vector<Item> items;
+      if (t < with_zero) {
+        items = {0, 1, 2};
+      } else {
+        for (Item item = 1; item <= 2; ++item) {
+          if (rng.NextBernoulli(0.5)) items.push_back(item);
+        }
+      }
+      for (Item item = 3; item <= 6; ++item) {
+        if (rng.NextBernoulli(0.6)) items.push_back(item);
+      }
+      for (Item item = 7; item <= 11; ++item) {
+        if (rng.NextBernoulli(0.05)) items.push_back(item);
+      }
+      if (items.empty()) items.push_back(11);
+      transactions.push_back(Transaction(std::move(items)));
+    }
+    auto block = std::make_shared<TransactionBlock>(std::move(transactions),
+                                                    (b - 1) * block_size);
+    block->mutable_info()->id = static_cast<BlockId>(b - 1);
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
+BordersOptions OscillatingOptions(CountingStrategy strategy) {
+  BordersOptions options;
+  options.minsup = kOscillatingMinsup;
+  options.num_items = 12;
+  options.strategy = strategy;
+  return options;
+}
+
+// The structural audits plus the from-scratch one, which also recounts
+// every retired-row entry.
+void ExpectAuditsClean(const BordersMaintainer& maintainer) {
+  audit::AuditResult audit;
+  maintainer.AuditInto(&audit);
+  maintainer.AuditRescratchInto(&audit);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
+TEST(BordersTest, OscillatingBorderIsRevivedNotRecounted) {
+  const auto blocks = OscillatingBlocks(9);
+  for (const CountingStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    // Declared first: the maintainer's TID-list pager reports to it until
+    // the maintainer is destroyed.
+    telemetry::TelemetryRegistry registry;
+    BordersMaintainer maintainer(OscillatingOptions(strategy));
+    maintainer.set_telemetry(&registry);
+    telemetry::Counter* const counted =
+        registry.counter("counting/itemsets_counted");
+    std::vector<BlockPtr> so_far;
+    size_t revived = 0;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      SCOPED_TRACE(b);
+      const uint64_t tracked_before = maintainer.model().entries().size();
+      const uint64_t counted_before = counted->value();
+      maintainer.AddBlock(blocks[b]);
+      so_far.push_back(blocks[b]);
+      ExpectModelsEqual(maintainer.model(),
+                        Apriori(so_far, kOscillatingMinsup, 12));
+      ExpectAuditsClean(maintainer);
+      // Blocks 0, 2, 4, ... leave {0} frequent, 1, 3, 5, ... demote it.
+      ASSERT_EQ(maintainer.model().IsFrequent({0}), b % 2 == 0);
+      const auto& stats = maintainer.last_stats();
+      revived += stats.revived_candidates;
+      if (b % 2 == 1) {
+        EXPECT_GT(maintainer.model().entries().num_retired(), 0u);
+        continue;
+      }
+      if (b == 0) continue;  // the base case mines from scratch
+      EXPECT_GT(stats.revived_candidates, 0u);
+      EXPECT_LE(stats.revived_candidates, stats.new_candidates);
+      if constexpr (telemetry::kEnabled) {
+        // Detection counts the whole model once; the update phase counts
+        // only the candidates no row held.
+        EXPECT_EQ(counted->value() - counted_before - tracked_before,
+                  stats.new_candidates - stats.revived_candidates);
+      }
+    }
+    if constexpr (telemetry::kEnabled) {
+      EXPECT_EQ(registry.counter("borders/revived_candidates")->value(),
+                revived);
+    }
+  }
+}
+
+TEST(BordersTest, RetiredRowsStayExactUnderBlockDeletion) {
+  const auto blocks = OscillatingBlocks(12);
+  for (const CountingStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    BordersMaintainer maintainer(OscillatingOptions(strategy));
+    std::deque<BlockPtr> window;
+    size_t revived = 0;
+    for (const BlockPtr& block : blocks) {
+      maintainer.AddBlock(block);
+      window.push_back(block);
+      revived += maintainer.last_stats().revived_candidates;
+      if (window.size() > 4) {
+        maintainer.RemoveOldestBlock();
+        window.pop_front();
+        revived += maintainer.last_stats().revived_candidates;
+      }
+      ExpectModelsEqual(maintainer.model(),
+                        Apriori({window.begin(), window.end()},
+                                kOscillatingMinsup, 12));
+      ExpectAuditsClean(maintainer);
+    }
+    EXPECT_GT(revived, 0u);
+  }
+}
+
+TEST(BordersTest, RetiredRowsStayExactUnderMinSupportChanges) {
+  const auto blocks = OscillatingBlocks(5);
+  for (const CountingStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    BordersMaintainer maintainer(OscillatingOptions(strategy));
+    const std::vector<BlockPtr> first(blocks.begin(), blocks.begin() + 4);
+    for (const BlockPtr& block : first) maintainer.AddBlock(block);
+
+    // Raising κ demotes most of L, retiring its border extensions.
+    maintainer.ChangeMinSupport(0.45);
+    ExpectModelsEqual(maintainer.model(), Apriori(first, 0.45, 12));
+    EXPECT_GT(maintainer.model().entries().num_retired(), 0u);
+    ExpectAuditsClean(maintainer);
+
+    // A block arrives under the raised κ; the rows count it too.
+    maintainer.AddBlock(blocks[4]);
+    ExpectModelsEqual(maintainer.model(), Apriori(blocks, 0.45, 12));
+    ExpectAuditsClean(maintainer);
+
+    // Lowering κ again re-promotes them from their rows.
+    maintainer.ChangeMinSupport(kOscillatingMinsup);
+    ExpectModelsEqual(maintainer.model(),
+                      Apriori(blocks, kOscillatingMinsup, 12));
+    EXPECT_GT(maintainer.last_stats().revived_candidates, 0u);
+    ExpectAuditsClean(maintainer);
+  }
+}
+
+// GEMM keeps w copies of a maintainer: a copy carries the rows and keeps
+// them exact independently of the original.
+TEST(BordersTest, RetiredRowsSurviveMaintainerCopies) {
+  const auto blocks = OscillatingBlocks(7);
+  for (const CountingStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    BordersMaintainer original(OscillatingOptions(strategy));
+    original.AddBlock(blocks[0]);
+    original.AddBlock(blocks[1]);
+    const size_t retired = original.model().entries().num_retired();
+    ASSERT_GT(retired, 0u);
+    BordersMaintainer copy = original;
+
+    // The original revives its rows; the copy's stay untouched.
+    original.AddBlock(blocks[2]);
+    EXPECT_GT(original.last_stats().revived_candidates, 0u);
+    EXPECT_EQ(copy.model().entries().num_retired(), retired);
+
+    copy.AddBlock(blocks[2]);
+    EXPECT_EQ(copy.last_stats().revived_candidates,
+              original.last_stats().revived_candidates);
+    std::vector<BlockPtr> so_far = {blocks[0], blocks[1], blocks[2]};
+    for (size_t b = 3; b < blocks.size(); ++b) {
+      original.AddBlock(blocks[b]);
+      copy.AddBlock(blocks[b]);
+      so_far.push_back(blocks[b]);
+      const ItemsetModel scratch = Apriori(so_far, kOscillatingMinsup, 12);
+      ExpectModelsEqual(original.model(), scratch);
+      ExpectModelsEqual(copy.model(), scratch);
+      ExpectAuditsClean(original);
+      ExpectAuditsClean(copy);
+    }
+  }
+}
+
+// On a drifting stream the pruned border of old regimes would outgrow the
+// model; rows are capped at half the tracked itemsets and stay exact.
+TEST(BordersTest, RetiredRowsStayBelowHalfTheModel) {
+  std::vector<BlockPtr> blocks = MakeQuestBlocks(4, 300, 40, 31);
+  for (const BlockPtr& block : MakeQuestBlocks(4, 300, 40, 32)) {
+    blocks.push_back(block);
+  }
+  BordersOptions options;
+  options.minsup = 0.04;
+  options.num_items = 40;
+  BordersMaintainer maintainer(options);
+  std::vector<BlockPtr> so_far;
+  size_t most_retired = 0;
+  for (const BlockPtr& block : blocks) {
+    maintainer.AddBlock(block);
+    so_far.push_back(block);
+    const ItemsetTrie& trie = maintainer.model().entries();
+    EXPECT_LE(trie.num_retired(), trie.size() / 2);
+    most_retired = std::max(most_retired, trie.num_retired());
+    ExpectModelsEqual(maintainer.model(),
+                      Apriori(so_far, options.minsup, options.num_items));
+    ExpectAuditsClean(maintainer);
+  }
+  EXPECT_GT(most_retired, 0u);
+}
+
+// Detection walks shard transactions over a pool and fold the retired
+// rows concurrently: rows, revivals and models must match the sequential
+// maintainer's exactly.
+TEST(BordersTest, ParallelDetectionFoldsRetiredRowsLikeSequential) {
+  const auto blocks = OscillatingBlocks(6, /*block_size=*/1200);
+  ThreadPool pool(4);
+  for (const CountingStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    BordersMaintainer sequential(OscillatingOptions(strategy));
+    BordersMaintainer parallel(OscillatingOptions(strategy));
+    parallel.set_counting_pool(&pool);
+    for (const BlockPtr& block : blocks) {
+      sequential.AddBlock(block);
+      parallel.AddBlock(block);
+      EXPECT_EQ(parallel.last_stats().revived_candidates,
+                sequential.last_stats().revived_candidates);
+      ExpectModelsEqual(parallel.model(), sequential.model());
+      ExpectAuditsClean(parallel);
+    }
+    EXPECT_GT(parallel.model().entries().num_retired(), 0u);
+    parallel.RemoveOldestBlock();
+    sequential.RemoveOldestBlock();
+    ExpectModelsEqual(parallel.model(), sequential.model());
+    ExpectAuditsClean(parallel);
+  }
+}
+
+// Rows are a cache, not state: a checkpoint of a maintainer holding rows
+// equals the one its restored twin (which has none) writes, and the two
+// stay byte-identical as the stream goes on.
+TEST(BordersTest, RetiredRowsAreNotCheckpointed) {
+  const auto blocks = OscillatingBlocks(6);
+  persistence::BlockSource source;
+  source.transactions = [&](BlockId id)
+      -> Result<std::shared_ptr<const TransactionBlock>> {
+    return blocks.at(id);
+  };
+  const auto save = [](const BordersMaintainer& maintainer) {
+    persistence::Writer w;
+    maintainer.SaveState(w);
+    return w.buffer();
+  };
+  for (const CountingStrategy strategy : kAllStrategies) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    BordersMaintainer original(OscillatingOptions(strategy));
+    original.AddBlock(blocks[0]);
+    original.AddBlock(blocks[1]);
+    ASSERT_GT(original.model().entries().num_retired(), 0u);
+    const auto saved = save(original);
+
+    BordersMaintainer restored(OscillatingOptions(strategy));
+    persistence::Reader r(saved);
+    r.set_block_source(&source);
+    ASSERT_TRUE(restored.LoadState(r).ok()) << r.status();
+    EXPECT_EQ(restored.model().entries().num_retired(), 0u);
+    EXPECT_EQ(save(restored), saved);
+
+    for (size_t b = 2; b < blocks.size(); ++b) {
+      original.AddBlock(blocks[b]);
+      restored.AddBlock(blocks[b]);
+      if (b == 2) {
+        EXPECT_GT(original.last_stats().revived_candidates, 0u);
+        EXPECT_EQ(restored.last_stats().revived_candidates, 0u);
+      }
+      EXPECT_EQ(save(restored), save(original));
+      ExpectAuditsClean(restored);
+    }
   }
 }
 

@@ -30,7 +30,7 @@ TEST(ModelIoTest, RoundTripIsExact) {
   const std::string path = ::testing::TempDir() + "/model.bin";
   ASSERT_TRUE(WriteItemsetModel(model, path).ok());
 
-  auto reread = ReadItemsetModel(path);
+  auto reread = ReadItemsetModel(path, model.num_items());
   ASSERT_TRUE(reread.ok()) << reread.status();
   const ItemsetModel& loaded = reread.value();
   EXPECT_DOUBLE_EQ(loaded.minsup(), model.minsup());
@@ -96,7 +96,7 @@ TEST(ModelIoTest, SerializationIsDeterministic) {
 
   persistence::Reader r(a.buffer());
   ItemsetModel reloaded;
-  DeserializeItemsetModel(r, &reloaded);
+  DeserializeItemsetModel(r, model.num_items(), &reloaded);
   ASSERT_TRUE(r.status().ok()) << r.status();
   persistence::Writer c;
   SerializeItemsetModel(c, reloaded);
@@ -120,7 +120,7 @@ TEST(ModelIoTest, ModelIsTinyComparedToData) {
 }
 
 TEST(ModelIoTest, MissingFileFails) {
-  auto result = ReadItemsetModel("/nonexistent/model.bin");
+  auto result = ReadItemsetModel("/nonexistent/model.bin", 60);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
@@ -139,7 +139,7 @@ TEST(ModelIoTest, TruncatedValidModelFails) {
   ASSERT_GT(full_size, 16);
   ASSERT_EQ(truncate(path.c_str(), full_size - full_size / 3), 0);
 
-  auto result = ReadItemsetModel(path);
+  auto result = ReadItemsetModel(path, 60);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
@@ -152,7 +152,7 @@ TEST(ModelIoTest, CorruptFileFails) {
   const char junk[32] = "not a model";
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
-  auto result = ReadItemsetModel(path);
+  auto result = ReadItemsetModel(path, 60);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -221,9 +221,39 @@ TEST(ModelIoTest, MalformedItemsetsAreRejected) {
     w.WriteBool(false);
     persistence::Reader r(w.buffer());
     ItemsetModel model;
-    DeserializeItemsetModel(r, &model);
+    DeserializeItemsetModel(r, 10, &model);
     EXPECT_FALSE(r.ok()) << ToString(bad);
   }
+}
+
+// A payload claiming a 2^33-item universe with one itemset near 2^32 once
+// grew the trie's level-1 index to 16 GiB and died in std::bad_alloc; it is
+// reachable from a corrupt checkpoint through BordersMaintainer::LoadState.
+// The decoder now checks the claim against the caller's universe first.
+TEST(ModelIoTest, HostileUniverseIsDataLoss) {
+  persistence::Writer w;
+  w.WriteDouble(0.1);
+  w.WriteU64(uint64_t{1} << 33);  // num_items
+  w.WriteU64(100);                // num_transactions
+  w.WriteU64(1);                  // num_entries
+  w.WriteU32Vector({0xFFFFFFF0u});
+  w.WriteU64(7);
+  w.WriteBool(true);
+  ASSERT_EQ(w.buffer().size(), 53u);
+
+  persistence::Reader r(w.buffer());
+  ItemsetModel model;
+  DeserializeItemsetModel(r, 1000, &model);
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(model.entries().empty());
+
+  // The same payload behind a checkpoint's BORDERS state.
+  BordersOptions options;
+  options.minsup = 0.1;
+  options.num_items = 1000;
+  BordersMaintainer maintainer(options);
+  persistence::Reader state(w.buffer());
+  EXPECT_EQ(maintainer.LoadState(state).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

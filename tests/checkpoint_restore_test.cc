@@ -234,7 +234,10 @@ void Feed(DemonMonitor& demon, const Workload& w, size_t from, size_t to) {
 void RunRestoreEquivalence(const EngineOptions& options) {
   const Workload w = MakeWorkload();
   const size_t k = 3;
-  const std::string ckpt = TempPath("restore_equiv.ckpt");
+  // One file per test: ctest runs the callers in parallel processes.
+  const std::string test =
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string ckpt = TempPath(test + ".ckpt");
 
   DemonMonitor original(w.num_items, options);
   RegisterFleet(original, w.dim);

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/telemetry.h"
 #include "data/block.h"
@@ -62,28 +61,6 @@ inline void PrintHeader(const std::string& title) {
 inline double HistogramSeconds(telemetry::TelemetryRegistry* registry,
                                const char* name) {
   return registry->histogram(name)->sum();
-}
-
-/// Per-phase histogram summaries as a JSON document, for
-/// scripts/bench_snapshot.sh's BENCH_telemetry.json artifact.
-inline std::string HistogramSummariesJson(
-    const telemetry::TelemetryRegistry& registry) {
-  std::string out = "{\n  \"histograms\": [\n";
-  const std::vector<telemetry::HistogramSummary> summaries =
-      registry.HistogramSummaries();
-  for (size_t i = 0; i < summaries.size(); ++i) {
-    const telemetry::HistogramSummary& s = summaries[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    {\"name\": \"%s\", \"count\": %llu, \"sum\": %.6g, "
-                  "\"p50\": %.6g, \"p95\": %.6g, \"max\": %.6g}%s\n",
-                  s.name.c_str(), static_cast<unsigned long long>(s.count),
-                  s.sum, s.p50, s.p95, s.max,
-                  i + 1 < summaries.size() ? "," : "");
-    out += line;
-  }
-  out += "  ]\n}\n";
-  return out;
 }
 
 /// Writes `contents` to `path` (for --trace_out= / --telemetry_out=).

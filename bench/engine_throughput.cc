@@ -14,10 +14,6 @@
 //
 //   DEMON_SCALE=1 ./engine_throughput
 //
-// Pass --benchmark_format=json to emit a google-benchmark-shaped JSON
-// document (context + benchmarks array) instead of the tables, so
-// scripts/bench_snapshot.sh can archive both binaries uniformly.
-//
 // Pass --trace_out=PATH to additionally run the fleet once more at 4
 // engine threads with an injected telemetry registry and write a Chrome
 // trace-event JSON file (load it at https://ui.perfetto.dev) showing the
@@ -108,28 +104,6 @@ RunResult RunFleet(const std::vector<TransactionBlock>& blocks,
   return result;
 }
 
-/// One measurement row, named like a google-benchmark entry.
-struct JsonRow {
-  std::string name;
-  double blocks_per_sec = 0.0;
-  double response_seconds = 0.0;
-  double offline_seconds = 0.0;
-};
-
-void PrintJson(const std::vector<JsonRow>& rows) {
-  std::printf("{\n  \"context\": {\"benchmark\": \"engine_throughput\"},\n");
-  std::printf("  \"benchmarks\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& r = rows[i];
-    std::printf(
-        "    {\"name\": \"%s\", \"blocks_per_second\": %.4f, "
-        "\"response_seconds\": %.6f, \"offline_seconds\": %.6f}%s\n",
-        r.name.c_str(), r.blocks_per_sec, r.response_seconds,
-        r.offline_seconds, i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
 }  // namespace
 }  // namespace demon::bench
 
@@ -139,11 +113,8 @@ int main(int argc, char** argv) {
 
   flags::FlagSet flags("engine_throughput",
                        "Engine ingest throughput across thread counts.");
-  flags.DefineString("benchmark_format", "",
-                     "'json' emits a machine-readable report");
   flags.DefineString("trace_out", "", "Chrome-trace output path");
   flags.DefineString("telemetry_out", "", "Prometheus metrics output path");
-  flags.DefineString("histogram_out", "", "histogram-summary JSON path");
   flags.DefineString("timeline_out", "", "telemetry timeline JSONL path");
   const Status parsed = flags.Parse(argc, argv);
   if (flags.help_requested()) {
@@ -154,10 +125,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
     return 2;
   }
-  const bool json = flags.GetString("benchmark_format") == "json";
   const std::string trace_out = flags.GetString("trace_out");
   const std::string telemetry_out = flags.GetString("telemetry_out");
-  const std::string histogram_out = flags.GetString("histogram_out");
   const std::string timeline_out = flags.GetString("timeline_out");
 
   const size_t block_size = Scaled(10000, 500);
@@ -165,12 +134,9 @@ int main(int argc, char** argv) {
   const double minsup = 0.005;
   const size_t window = 3;
   const auto blocks = MakeBlocks(num_blocks, block_size);
-  std::vector<JsonRow> rows;
 
-  if (!json) {
-    PrintHeader("Engine ingest throughput (4 monitors, blocks/sec)");
-    std::printf("%8s | %10s | %8s\n", "threads", "blocks/s", "speedup");
-  }
+  PrintHeader("Engine ingest throughput (4 monitors, blocks/sec)");
+  std::printf("%8s | %10s | %8s\n", "threads", "blocks/s", "speedup");
   double baseline = 0.0;
   for (const size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4},
                                size_t{8}}) {
@@ -178,36 +144,25 @@ int main(int argc, char** argv) {
     engine.num_threads = threads;
     const RunResult r = RunFleet(blocks, engine, minsup, window);
     if (threads == 0) baseline = r.blocks_per_sec;
-    rows.push_back({"ingest/threads:" + std::to_string(threads),
-                    r.blocks_per_sec, r.response_seconds, r.offline_seconds});
-    if (!json) {
-      std::printf("%8zu | %10.2f | %7.2fx\n", threads, r.blocks_per_sec,
-                  r.blocks_per_sec / baseline);
-    }
+    std::printf("%8zu | %10.2f | %7.2fx\n", threads, r.blocks_per_sec,
+                r.blocks_per_sec / baseline);
   }
 
-  if (!json) {
-    PrintHeader("Response vs off-line split (DeferOffline, 4 threads)");
-    std::printf("%10s | %12s | %12s | %10s\n", "defer", "response(s)",
-                "offline(s)", "blocks/s");
-  }
+  PrintHeader("Response vs off-line split (DeferOffline, 4 threads)");
+  std::printf("%10s | %12s | %12s | %10s\n", "defer", "response(s)",
+              "offline(s)", "blocks/s");
   for (const bool defer : {false, true}) {
     EngineOptions engine;
     engine.num_threads = 4;
     engine.defer_offline = defer;
     const RunResult r = RunFleet(blocks, engine, minsup, window);
-    rows.push_back({std::string("defer_offline:") + (defer ? "on" : "off"),
-                    r.blocks_per_sec, r.response_seconds, r.offline_seconds});
-    if (!json) {
-      std::printf("%10s | %12.3f | %12.3f | %10.2f\n", defer ? "on" : "off",
-                  r.response_seconds, r.offline_seconds, r.blocks_per_sec);
-    }
+    std::printf("%10s | %12.3f | %12.3f | %10.2f\n", defer ? "on" : "off",
+                r.response_seconds, r.offline_seconds, r.blocks_per_sec);
   }
 
   // Instrumented run: same fleet at 4 threads, telemetry injected, spans
-  // and metrics exported for scripts/bench_snapshot.sh to archive.
-  if (!trace_out.empty() || !telemetry_out.empty() || !histogram_out.empty() ||
-      !timeline_out.empty()) {
+  // and metrics exported.
+  if (!trace_out.empty() || !telemetry_out.empty() || !timeline_out.empty()) {
     telemetry::TelemetryRegistry registry;
     EngineOptions engine;
     engine.num_threads = 4;
@@ -224,9 +179,7 @@ int main(int argc, char** argv) {
     if (!timeline_out.empty() &&
         WriteFileContents(timeline_out,
                           telemetry::TimelineJsonl(scraper->Samples()))) {
-      if (!json) {
-        std::printf("wrote metrics timeline to %s\n", timeline_out.c_str());
-      }
+      std::printf("wrote metrics timeline to %s\n", timeline_out.c_str());
     }
     if (!trace_out.empty()) {
       const std::string trace =
@@ -234,24 +187,14 @@ int main(int argc, char** argv) {
               ? telemetry::ChromeTraceJson(registry.CollectSpans(),
                                            scraper->Samples())
               : registry.ChromeTraceJson();
-      if (WriteFileContents(trace_out, trace) && !json) {
+      if (WriteFileContents(trace_out, trace)) {
         std::printf("wrote Chrome trace to %s\n", trace_out.c_str());
       }
     }
     if (!telemetry_out.empty() &&
         WriteFileContents(telemetry_out, registry.PrometheusText())) {
-      if (!json) {
-        std::printf("wrote Prometheus metrics to %s\n", telemetry_out.c_str());
-      }
-    }
-    if (!histogram_out.empty() &&
-        WriteFileContents(histogram_out, HistogramSummariesJson(registry))) {
-      if (!json) {
-        std::printf("wrote histogram summaries to %s\n", histogram_out.c_str());
-      }
+      std::printf("wrote Prometheus metrics to %s\n", telemetry_out.c_str());
     }
   }
-
-  if (json) PrintJson(rows);
   return 0;
 }

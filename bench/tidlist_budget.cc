@@ -5,8 +5,7 @@
 // across budgets, strategies (PT-Scan / ECUT / ECUT+) and thread counts,
 // the quiesced resident set never exceeds the budget, and the peak exceeds
 // it by at most the pinned working set (one block payload per concurrent
-// counting shard). Writes a BENCH_tidlist.json artifact for
-// scripts/bench_snapshot.sh.
+// counting shard).
 
 #include <cstdio>
 #include <memory>
@@ -15,7 +14,6 @@
 
 #include "bench/bench_util.h"
 #include "common/check.h"
-#include "common/flags.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "itemsets/apriori.h"
@@ -95,29 +93,7 @@ SweepRow MeasureStore(const std::string& name, size_t budget,
   return row;
 }
 
-std::string RowsJson(const std::vector<SweepRow>& rows) {
-  std::string out;
-  char line[512];
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    std::snprintf(
-        line, sizeof(line),
-        "    {\"name\": \"%s\", \"budget_bytes\": %zu, \"threads\": %zu, "
-        "\"ecut_ms\": %.3f, \"ecutplus_ms\": %.3f, "
-        "\"peak_resident_bytes\": %zu, \"final_resident_bytes\": %zu, "
-        "\"page_ins\": %llu, \"evictions\": %llu, \"spills\": %llu}%s\n",
-        r.name.c_str(), r.budget_bytes, r.threads, r.ecut_ms, r.ecutplus_ms,
-        r.peak_resident_bytes, r.final_resident_bytes,
-        static_cast<unsigned long long>(r.page_ins),
-        static_cast<unsigned long long>(r.evictions),
-        static_cast<unsigned long long>(r.spills),
-        i + 1 < rows.size() ? "," : "");
-    out += line;
-  }
-  return out;
-}
-
-void Run(const std::string& json_out) {
+void Run() {
   constexpr size_t kNumBlocks = 8;
   const size_t per_block = bench::Scaled(200000, 3000);
   QuestParams params = bench::PaperQuestParams(per_block, 11);
@@ -222,41 +198,12 @@ void Run(const std::string& json_out) {
   }
   std::printf("shape check: counts identical at every budget; paging cost "
               "grows as the budget shrinks\n");
-
-  char context[512];
-  std::snprintf(
-      context, sizeof(context),
-      "{\n  \"context\": {\"benchmark\": \"tidlist_budget\", "
-      "\"num_blocks\": %zu, \"transactions_per_block\": %zu, "
-      "\"num_items\": %zu, \"itemsets_counted\": %zu, "
-      "\"total_payload_bytes\": %zu, \"largest_block_payload_bytes\": %zu, "
-      "\"encoding_census\": {\"raw\": %zu, \"delta\": %zu}"
-      "},\n  \"benchmarks\": [\n",
-      kNumBlocks, per_block, params.num_items, sample.size(), footprint,
-      largest, census[0], census[1]);
-  const std::string json = std::string(context) + RowsJson(rows) + "  ]\n}\n";
-  if (bench::WriteFileContents(json_out, json)) {
-    std::printf("wrote %s\n", json_out.c_str());
-  }
 }
 
 }  // namespace
 }  // namespace demon
 
-int main(int argc, char** argv) {
-  demon::flags::FlagSet flags("tidlist_budget",
-                              "TID-list storage-tier census benchmark.");
-  flags.DefineString("json_out", "BENCH_tidlist.json",
-                     "results JSON output path");
-  const demon::Status parsed = flags.Parse(argc, argv);
-  if (flags.help_requested()) {
-    std::printf("%s", flags.HelpText().c_str());
-    return 0;
-  }
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
-    return 2;
-  }
-  demon::Run(flags.GetString("json_out"));
+int main() {
+  demon::Run();
   return 0;
 }

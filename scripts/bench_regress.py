@@ -1,255 +1,158 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json snapshots and emit a markdown delta table.
+"""Gate the ledger's deterministic work counters against a baseline.
 
-Works on every artifact scripts/bench_snapshot.sh produces: documents with
-a "benchmarks" array (google-benchmark format and the hand-rolled
-engine/tidlist emitters) or a "histograms" array (BENCH_telemetry.json).
-Rows are paired by their "name" field; every numeric field present in both
-rows becomes one metric line in the table.
+The paper compares ECUT, ECUT+ and PT-Scan by how much data each one
+fetches (§3.1.1, Fig 2). The ledger's traced runs report that cost model as
+counters that depend only on the code and the seed, never on the host.
+This script reads a ledger set document, takes each workload's traced run
+("trace": true), and compares the counters below exactly against the
+committed baseline, scripts/ledger_counters.json (seed 1, smoke size).
+Times are reported by the ledger, not gated here.
 
-Each metric has a direction:
+It prints one table and exits 1 on any changed value, missing workload or
+missing counter, and 2 on usage errors.
 
-  higher-better  names matching *per_second* — throughput.
-  lower-better   time-shaped names (*_time, *_ms, *_seconds, sum, max,
-                 p50/p95/..., *_bytes, page_ins, evictions, spills).
-  neutral        everything else (iterations, counts, config echoes):
-                 reported, never a regression.
+A change that moves a counter on purpose regenerates the baseline and says
+why in CHANGES.md:
 
-A directional metric regresses when it moves the wrong way by more than
-the tolerance (default 10%, override with --tolerance or per-metric with
---metric NAME_REGEX=PCT, first match wins). Exit status: 0 when no metric
-regressed, 1 on any regression, 2 on usage/shape errors — so CI can diff
-a fresh snapshot against the committed one mechanically.
+  ctest --test-dir build-ledger -L ledger   # writes smoke-out/set.json
+  scripts/bench_regress.py build-ledger/smoke-out/set.json --write
 
-Usage: scripts/bench_regress.py BASELINE.json CURRENT.json
-           [--tolerance PCT] [--metric NAME_REGEX=PCT ...] [--all]
+Usage: scripts/bench_regress.py SET.json [--write]
        scripts/bench_regress.py --self-test
-
-By default only changed metrics (beyond 0.5%) and added/removed rows are
-printed; --all prints every paired metric.
 """
 
+import copy
 import json
-import re
+import os
 import sys
 
-HIGHER_BETTER_RE = re.compile(r"per_second")
-LOWER_BETTER_RE = re.compile(
-    r"(_time$|_ms$|_seconds|^sum$|^max$|^p\d+$|_bytes$|^page_ins$"
-    r"|^evictions$|^spills$)"
+COUNTERS = (
+    "itemsets.new_candidates_per_block",
+    "itemsets.tracked_itemsets",
+    "itemsets.frequent_itemsets",
+    "itemsets.itemsets_counted_per_block",
+    "itemsets.slots_fetched_per_block",
+    "itemsets.lists_opened_per_block",
+    "itemsets.transactions_scanned_per_block",
+    "tidlist.payload_bytes_per_record",
+    "persistence.wal_bytes_per_record",
+    "persistence.checkpoint_bytes_per_record",
 )
-# Context keys whose drift makes any comparison suspect.
-CONTEXT_KEYS = ("demon_build_type", "num_cpus")
-NOISE_FLOOR_PCT = 0.5
+BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "ledger_counters.json")
 
 
-def direction(metric):
-    if HIGHER_BETTER_RE.search(metric):
-        return "higher"
-    if LOWER_BETTER_RE.search(metric):
-        return "lower"
-    return "neutral"
-
-
-def rows_of(doc, path):
-    for key in ("benchmarks", "histograms"):
-        if isinstance(doc.get(key), list):
-            out = {}
-            for row in doc[key]:
-                name = row.get("name")
-                if isinstance(name, str):
-                    out[name] = row
-            return out
-    raise SystemExit(f"error: {path} has no benchmarks/histograms array")
-
-
-def tolerance_for(metric, default_pct, overrides):
-    for pattern, pct in overrides:
-        if pattern.search(metric):
-            return pct
-    return default_pct
-
-
-def compare(base_doc, cur_doc, base_path, cur_path, default_pct, overrides,
-            show_all):
-    """Returns (markdown_lines, num_regressions)."""
-    base_rows = rows_of(base_doc, base_path)
-    cur_rows = rows_of(cur_doc, cur_path)
-
-    lines = []
-    for key in CONTEXT_KEYS:
-        b = base_doc.get("context", {}).get(key)
-        c = cur_doc.get("context", {}).get(key)
-        if b is not None and c is not None and b != c:
-            lines.append(f"> **warning**: context `{key}` differs "
-                         f"({b!r} vs {c!r}); deltas may be meaningless.")
-    if lines:
-        lines.append("")
-
-    lines.append("| benchmark | metric | baseline | current | delta | status |")
-    lines.append("|---|---|---:|---:|---:|---|")
-
-    regressions = 0
-    printed = 0
-    for name in sorted(set(base_rows) | set(cur_rows)):
-        if name not in cur_rows:
-            lines.append(f"| `{name}` | — | — | — | — | removed |")
-            printed += 1
+def counters_of(set_doc):
+    """The baseline-shaped document for a set: its seed and, per workload,
+    the counters of its traced run."""
+    workloads = {}
+    for run in set_doc.get("runs", []):
+        if not run.get("trace"):
             continue
-        if name not in base_rows:
-            lines.append(f"| `{name}` | — | — | — | — | added |")
-            printed += 1
+        metrics = run.get("result", {}).get("metrics", {})
+        workloads[run["workload"]] = {
+            name: metrics[name]["value"] for name in COUNTERS
+            if name in metrics}
+    return {"seed": set_doc.get("seed"), "counters": workloads}
+
+
+def compare(baseline, current):
+    """Returns (table lines, number of failing rows)."""
+    rows = []
+    if current["seed"] != baseline["seed"]:
+        rows.append(("-", "seed", baseline["seed"], current["seed"],
+                     "CHANGED"))
+    base, cur = baseline["counters"], current["counters"]
+    for workload in sorted(set(base) | set(cur)):
+        if workload not in cur:
+            rows.append((workload, "-", "-", "-", "missing workload"))
             continue
-        base_row, cur_row = base_rows[name], cur_rows[name]
-        metrics = [k for k in base_row
-                   if k in cur_row and k != "name"
-                   and isinstance(base_row[k], (int, float))
-                   and isinstance(cur_row[k], (int, float))
-                   and not isinstance(base_row[k], bool)]
-        for metric in metrics:
-            b, c = float(base_row[metric]), float(cur_row[metric])
-            if b == 0.0 and c == 0.0:
-                continue
-            delta_pct = (c - b) / abs(b) * 100.0 if b != 0.0 else float("inf")
-            dirn = direction(metric)
-            tol = tolerance_for(metric, default_pct, overrides)
-            regressed = (
-                (dirn == "higher" and delta_pct < -tol)
-                or (dirn == "lower" and delta_pct > tol))
-            improved = (
-                (dirn == "higher" and delta_pct > tol)
-                or (dirn == "lower" and delta_pct < -tol))
-            if regressed:
-                status = f"**regressed** (>{tol:g}%)"
-                regressions += 1
-            elif improved:
-                status = "improved"
+        if workload not in base:
+            rows.append((workload, "-", "-", "-", "not in baseline"))
+            continue
+        for name in COUNTERS:
+            want, got = base[workload].get(name), cur[workload].get(name)
+            if got is None:
+                status = "missing counter"
+            elif want is None:
+                status = "not in baseline"
             else:
-                status = "ok" if dirn != "neutral" else "info"
-            if (not show_all and not regressed and not improved
-                    and abs(delta_pct) <= NOISE_FLOOR_PCT):
-                continue
-            delta_str = ("inf" if delta_pct == float("inf")
-                         else f"{delta_pct:+.1f}%")
-            lines.append(f"| `{name}` | {metric} | {b:g} | {c:g} "
-                         f"| {delta_str} | {status} |")
-            printed += 1
+                status = "ok" if got == want else "CHANGED"
+            rows.append((workload, name, want, got, status))
 
-    if printed == 0:
-        lines.append("| — | — | — | — | — | no changes beyond noise floor |")
-    return lines, regressions
-
-
-# (case name, baseline doc, current doc, expected regression count,
-# substring that must appear in the rendered table).
-SELF_TEST_CASES = [
-    ("throughput drop regresses",
-     {"benchmarks": [{"name": "a", "blocks_per_second": 100.0}]},
-     {"benchmarks": [{"name": "a", "blocks_per_second": 80.0}]},
-     1, "**regressed**"),
-    ("throughput gain improves",
-     {"benchmarks": [{"name": "a", "blocks_per_second": 100.0}]},
-     {"benchmarks": [{"name": "a", "blocks_per_second": 130.0}]},
-     0, "improved"),
-    ("time increase regresses",
-     {"benchmarks": [{"name": "a", "real_time": 10.0}]},
-     {"benchmarks": [{"name": "a", "real_time": 12.0}]},
-     1, "**regressed**"),
-    ("within tolerance is ok",
-     {"benchmarks": [{"name": "a", "real_time": 10.0}]},
-     {"benchmarks": [{"name": "a", "real_time": 10.5}]},
-     0, "ok"),
-    ("neutral metric never regresses",
-     {"benchmarks": [{"name": "a", "iterations": 100}]},
-     {"benchmarks": [{"name": "a", "iterations": 5}]},
-     0, "info"),
-    ("added and removed rows are reported",
-     {"benchmarks": [{"name": "old", "real_time": 1.0}]},
-     {"benchmarks": [{"name": "new", "real_time": 1.0}]},
-     0, "removed"),
-    ("histogram sums are lower-better",
-     {"histograms": [{"name": "h", "sum": 10.0, "count": 5}]},
-     {"histograms": [{"name": "h", "sum": 20.0, "count": 5}]},
-     1, "**regressed**"),
-    ("context drift warns",
-     {"context": {"num_cpus": 8}, "benchmarks": []},
-     {"context": {"num_cpus": 1}, "benchmarks": []},
-     0, "warning"),
-]
+    lines = [f"{'workload':<14} {'counter':<40} {'baseline':>16} "
+             f"{'current':>16}  status"]
+    for workload, name, want, got, status in rows:
+        lines.append(f"{workload:<14} {name:<40} "
+                     f"{'-' if want is None else str(want):>16} "
+                     f"{'-' if got is None else str(got):>16}  {status}")
+    return lines, sum(1 for row in rows if row[4] != "ok")
 
 
 def self_test():
+    doc = {"seed": 1, "runs": [
+        {"workload": w, "trace": trace, "result": {"metrics": {
+            name: {"value": 10.5 if trace else 99.0} for name in COUNTERS}}}
+        for w in ("a", "b") for trace in (False, True)]}
+    baseline = counters_of(doc)
+
+    changed = copy.deepcopy(doc)
+    changed["runs"][3]["result"]["metrics"][COUNTERS[4]]["value"] = 21.0
+    missing_workload = copy.deepcopy(doc)
+    del missing_workload["runs"][2:]
+    missing_counter = copy.deepcopy(doc)
+    del missing_counter["runs"][1]["result"]["metrics"][COUNTERS[0]]
+    untraced_moved = copy.deepcopy(doc)
+    untraced_moved["runs"][0]["result"]["metrics"][COUNTERS[0]]["value"] = 1.0
+
+    # (case, set document, expected failing rows, status that must appear)
+    cases = [
+        ("identical input passes", doc, 0, "ok"),
+        ("untraced runs are not gated", untraced_moved, 0, "ok"),
+        ("a changed value fails", changed, 1, "CHANGED"),
+        ("a missing workload fails", missing_workload, 1,
+         "missing workload"),
+        ("a missing counter fails", missing_counter, 1, "missing counter"),
+    ]
     failures = []
-    overrides = []
-    for name, base, cur, want_regr, want_substr in SELF_TEST_CASES:
-        lines, regr = compare(base, cur, "base", "cur", 10.0, overrides,
-                              show_all=True)
-        text = "\n".join(lines)
-        if regr != want_regr:
-            failures.append(f"{name}: expected {want_regr} regression(s), "
-                            f"got {regr}")
-        if want_substr not in text:
-            failures.append(f"{name}: {want_substr!r} missing from table")
-    # Per-metric override: loosen real_time to 50% so 20% drift passes.
-    lines, regr = compare(
-        {"benchmarks": [{"name": "a", "real_time": 10.0}]},
-        {"benchmarks": [{"name": "a", "real_time": 12.0}]},
-        "base", "cur", 10.0, [(re.compile("real_time"), 50.0)],
-        show_all=True)
-    if regr != 0:
-        failures.append("override case: expected 0 regressions, got "
-                        f"{regr}")
+    for name, set_doc, want_failures, want_status in cases:
+        lines, got_failures = compare(baseline, counters_of(set_doc))
+        if got_failures != want_failures:
+            failures.append(f"{name}: expected {want_failures} failing "
+                            f"row(s), got {got_failures}")
+        if not any(line.endswith("  " + want_status) for line in lines[1:]):
+            failures.append(f"{name}: no row with status {want_status!r}")
     for failure in failures:
         print(f"self-test FAIL: {failure}")
-    print(f"bench_regress.py: self-test ran {len(SELF_TEST_CASES) + 1} "
-          f"cases, {len(failures)} failure(s)")
+    print(f"bench_regress.py: self-test ran {len(cases)} cases, "
+          f"{len(failures)} failure(s)")
     return 1 if failures else 0
 
 
 def main(argv):
-    if len(argv) > 1 and argv[1] == "--self-test":
+    if argv[1:] == ["--self-test"]:
         return self_test()
-    default_pct = 10.0
-    overrides = []
-    show_all = False
-    paths = []
-    i = 1
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--tolerance":
-            i += 1
-            default_pct = float(argv[i])
-        elif arg.startswith("--tolerance="):
-            default_pct = float(arg.split("=", 1)[1])
-        elif arg == "--metric":
-            i += 1
-            pattern, pct = argv[i].rsplit("=", 1)
-            overrides.append((re.compile(pattern), float(pct)))
-        elif arg.startswith("--metric="):
-            pattern, pct = arg.split("=", 1)[1].rsplit("=", 1)
-            overrides.append((re.compile(pattern), float(pct)))
-        elif arg == "--all":
-            show_all = True
-        elif arg.startswith("-"):
-            print(f"error: unknown flag {arg}", file=sys.stderr)
-            return 2
-        else:
-            paths.append(arg)
-        i += 1
-    if len(paths) != 2:
+    args = argv[1:]
+    write = "--write" in args
+    paths = [arg for arg in args if arg != "--write"]
+    if len(paths) != 1 or paths[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with open(paths[0]) as f:
-        base_doc = json.load(f)
-    with open(paths[1]) as f:
-        cur_doc = json.load(f)
-    lines, regressions = compare(base_doc, cur_doc, paths[0], paths[1],
-                                 default_pct, overrides, show_all)
-    print(f"### {paths[0]} → {paths[1]}\n")
+        current = counters_of(json.load(f))
+    if write:
+        with open(BASELINE, "w") as f:
+            json.dump(current, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"wrote {BASELINE}")
+        return 0
+    with open(BASELINE) as f:
+        baseline = json.load(f)
+    lines, failures = compare(baseline, current)
     print("\n".join(lines))
-    print(f"\n{regressions} regression(s) beyond tolerance "
-          f"(default {default_pct:g}%).")
-    return 1 if regressions else 0
+    print(f"\n{failures} counter(s) differ from {BASELINE}.")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

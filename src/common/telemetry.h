@@ -104,6 +104,10 @@ class Histogram {
   /// add up to the reported count — the invariant Prometheus scrapers and
   /// the timeline scraper rely on. Record() bumps the bucket before
   /// `count_`, so the derived count is also monotone across snapshots.
+  /// `sum` and `max` are read after the buckets and are not tied to them:
+  /// while Record() runs concurrently they may miss records the buckets
+  /// hold, or include any number of later ones. They match the count
+  /// exactly only when no Record() is in flight.
   struct Snapshot {
     uint64_t buckets[kNumBuckets] = {};
     uint64_t count = 0;  ///< Sum of `buckets`.
@@ -171,7 +175,7 @@ struct MetricsSample {
   std::vector<HistogramRow> histograms;
 };
 
-/// Summary row for one histogram (the BENCH_telemetry.json payload).
+/// Summary row for one histogram: count, sum and quantiles.
 struct HistogramSummary {
   std::string name;
   uint64_t count = 0;

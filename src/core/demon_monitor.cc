@@ -12,6 +12,21 @@ namespace {
 /// restore with unbounded budgets.
 constexpr uint32_t kCheckpointVersion = 2;
 
+/// Maintainers index per-item arrays by a block's items, so a decoded block
+/// naming an item outside the universe is corruption, not a caller bug.
+Status CheckItemUniverse(const TransactionBlock& block, size_t num_items) {
+  for (const Transaction& t : block.transactions()) {
+    if (!t.empty() && t.items().back() >= num_items) {
+      return Status::DataLoss("transaction block " +
+                              std::to_string(block.info().id) + " holds item " +
+                              std::to_string(t.items().back()) +
+                              " outside the universe of " +
+                              std::to_string(num_items));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status DemonMonitor::CheckNoBlocksYet() const {
@@ -201,6 +216,9 @@ Result<std::unique_ptr<DemonMonitor>> DemonMonitor::Restore(
   persistence::ReadSnapshotInto(r, &monitor->points_);
   persistence::ReadSnapshotInto(r, &monitor->labeled_);
   if (!r.ok()) return r.status();
+  for (const auto& block : monitor->snapshot_.blocks()) {
+    DEMON_RETURN_NOT_OK(CheckItemUniverse(*block, monitor->num_items_));
+  }
 
   // Maintainer state references blocks by id; resolve them against the
   // just-restored snapshots so block data is shared, not duplicated.
@@ -296,6 +314,7 @@ Status DemonMonitor::ReplayWal(const std::string& path) {
   };
   replayer.transactions =
       [&](std::shared_ptr<const TransactionBlock> block) {
+        DEMON_RETURN_NOT_OK(CheckItemUniverse(*block, num_items_));
         return feed(snapshot_, std::move(block), "transaction");
       };
   replayer.points = [&](std::shared_ptr<const PointBlock> block) {

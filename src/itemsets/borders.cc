@@ -444,6 +444,14 @@ Status BordersMaintainer::LoadState(persistence::Reader& r) {
       for (size_t p = 0; p < num_pairs; ++p) {
         const Item a = r.ReadU32();
         const Item c = r.ReadU32();
+        if (!r.ok()) return r.status();
+        // Build indexes its item lists by both items of a distinct pair.
+        if (a == c || a >= options_.num_items || c >= options_.num_items) {
+          return Status::DataLoss("checkpointed pair (" + std::to_string(a) +
+                                  ", " + std::to_string(c) +
+                                  ") is not two distinct items of the "
+                                  "universe");
+        }
         spec.pairs.emplace_back(a, c);
       }
       if (!r.ok()) return r.status();

@@ -39,8 +39,9 @@ size_t CountingContext::ShardCountFor(size_t work,
   // whatever tokens outer layers (in-flight monitor tasks, enclosing
   // ParallelFors) have left unborrowed. When monitors hold the whole
   // budget each one counts serially on its own worker — the behavior that
-  // fixed the 4-thread regression in BENCH_engine.json — and as monitors
-  // retire, their returned tokens let late counting calls fan back out.
+  // fixed the 4-thread regression of bench/engine_throughput — and as
+  // monitors retire, their returned tokens let late counting calls fan
+  // back out.
   // The snapshot is advisory; ParallelFor re-acquires tokens for real at
   // submission time, so a stale read costs load balance, never
   // correctness.

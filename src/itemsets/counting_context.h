@@ -162,8 +162,8 @@ class CountingContext {
   /// the pool's unborrowed parallelism tokens (ThreadPool's pool-wide
   /// budget). Sizing to the token remainder is what keeps nested fan-out
   /// from queueing shards behind busy monitor-level tasks — the
-  /// oversubscription that made 4-thread counting slower than 1-thread in
-  /// BENCH_engine.json.
+  /// oversubscription that made 4-thread counting slower than 1-thread on
+  /// bench/engine_throughput's monitor fleet.
   size_t ShardCountFor(size_t work, size_t min_per_shard) const;
 
   /// Estimated total TID slots an ECUT pass over `itemsets` touches, from

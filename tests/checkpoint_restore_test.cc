@@ -15,6 +15,8 @@
 #include "datagen/cluster_generator.h"
 #include "datagen/labeled_generator.h"
 #include "datagen/quest_generator.h"
+#include "itemsets/model_io.h"
+#include "persistence/block_codec.h"
 #include "persistence/file_header.h"
 
 namespace demon {
@@ -530,6 +532,82 @@ TEST(CheckpointRestoreTest, MissingWrongFormatAndTruncatedFilesAreRejected) {
   std::fclose(out);
   EXPECT_EQ(DemonMonitor::Restore(padded).status().code(),
             StatusCode::kDataLoss);
+}
+
+// A checkpoint written by hand: universe `num_items`, `transactions` as
+// transaction block 1, and one ECUT+ monitor whose state names block 1 and
+// records `pairs` as its materialized pairs.
+std::string WriteCraftedCheckpoint(
+    const std::string& name, size_t num_items,
+    std::vector<Transaction> transactions,
+    const std::vector<std::pair<Item, Item>>& pairs) {
+  persistence::Writer w;
+  w.WriteU64(num_items);
+  TransactionSnapshot blocks;
+  blocks.Append(TransactionBlock(std::move(transactions), 0));
+  persistence::WriteSnapshot(w, blocks);
+  persistence::WriteSnapshot(w, PointSnapshot());
+  persistence::WriteSnapshot(w, LabeledSnapshot());
+  w.WriteU64(1);
+  SaveMonitorSpec(w, {.kind = MonitorKind::kUnrestrictedItemsets,
+                      .name = "uw",
+                      .minsup = 0.5,
+                      .strategy = CountingStrategy::kEcutPlus});
+  persistence::Writer state;
+  SerializeItemsetModel(state, ItemsetModel(0.5, num_items));
+  state.WriteU64(1);  // one block, id 1
+  state.WriteU32(1);
+  state.WriteU64(pairs.size());
+  for (const auto& [a, c] : pairs) {
+    state.WriteU32(a);
+    state.WriteU32(c);
+  }
+  w.WriteString(state.buffer());
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(persistence::WritePayloadFile(
+                  path, persistence::FormatId::kCheckpoint,
+                  /*version=*/2, w)
+                  .ok());
+  return path;
+}
+
+TEST(CheckpointRestoreTest, HostileItemsAndPairsAreDataLoss) {
+  constexpr size_t kItems = 8;
+  const std::vector<Transaction> good = {{0, 1, 2}, {1, 2}, {0, 7}};
+  const std::string control =
+      WriteCraftedCheckpoint("crafted_ok.ckpt", kItems, good, {{1, 2}});
+  auto restored = DemonMonitor::Restore(control);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+
+  // Each would reach BlockTidLists::Build, which CHECK-fails on the first
+  // two and indexes past its item lists on the last two.
+  EXPECT_EQ(DemonMonitor::Restore(
+                WriteCraftedCheckpoint("crafted_item.ckpt", kItems,
+                                       {{0, 1}, {2, kItems}}, {}))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+  for (const auto& pair : std::vector<std::pair<Item, Item>>{
+           {2, 2}, {1, kItems}, {1u << 30, 1}}) {
+    const Status status =
+        DemonMonitor::Restore(
+            WriteCraftedCheckpoint("crafted_pair.ckpt", kItems, good, {pair}))
+            .status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+        << pair.first << "," << pair.second << ": " << status.ToString();
+  }
+
+  // The WAL decoder applies the same universe check as the checkpoint.
+  const std::string wal = TempPath("crafted_item.log");
+  std::remove(wal.c_str());
+  {
+    auto log = persistence::WriteAheadLog::Open(wal);
+    ASSERT_TRUE(log.ok());
+    TransactionBlock hostile({{0, kItems + 3}}, 3);
+    hostile.mutable_info()->id = 2;
+    ASSERT_TRUE(log.value()->Append(hostile).ok());
+  }
+  EXPECT_EQ(restored.value()->ReplayWal(wal).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -236,25 +237,54 @@ TEST(TelemetryScraperTest, ConcurrentScrapesAreMonotoneAndConverge) {
       {.registry = &registry, .period_seconds = 1e-4});
   scraper.Start();
 
+  // Each round hammers until the background scraper has scraped twice
+  // under way, however the host schedules the threads (on one loaded CPU
+  // the writers can otherwise finish before the scraper first runs). Then
+  // the writers are joined and a scrape is pinned at that quiescent point.
   constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 20000;
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        counter->Increment();
-        histogram->Record(0.001);
-      }
-    });
+  constexpr int kRounds = 4;
+  constexpr uint64_t kMinOpsPerRound = 5000;
+  constexpr uint64_t kConcurrentScrapes = 2;
+  std::atomic<uint64_t> total{0};
+  std::vector<uint64_t> round_totals;
+  std::vector<TimelineSample> pinned;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> started{0};
+    std::atomic<bool> scraped{false};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&] {
+        started.fetch_add(1);
+        uint64_t ops = 0;
+        while (ops < kMinOpsPerRound || !scraped.load()) {
+          counter->Increment();
+          histogram->Record(0.001);
+          ++ops;
+        }
+        total.fetch_add(ops);
+      });
+    }
+    while (started.load() < kThreads) std::this_thread::yield();
+    const uint64_t before = scraper.num_scrapes();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (scraper.num_scrapes() < before + kConcurrentScrapes &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    EXPECT_GE(scraper.num_scrapes(), before + kConcurrentScrapes);
+    scraped.store(true);
+    for (auto& writer : writers) writer.join();
+    round_totals.push_back(total.load());
+    pinned.push_back(scraper.ScrapeNow());
   }
-  for (auto& writer : writers) writer.join();
   scraper.Stop();
   const TimelineSample final_sample = scraper.ScrapeNow();
   EXPECT_GT(scraper.num_scrapes(), 1u);
 
   // Monotone per metric across the retained window, never torn past the
   // true total.
-  constexpr uint64_t kTotal = uint64_t{kThreads} * kOpsPerThread;
+  const uint64_t all_ops = total.load();
   uint64_t prev_ops = 0;
   uint64_t prev_hist = 0;
   for (const TimelineSample& sample : scraper.Samples()) {
@@ -262,28 +292,33 @@ TEST(TelemetryScraperTest, ConcurrentScrapesAreMonotoneAndConverge) {
       if (sample.cumulative.counters[i].first != "test/ops") continue;
       const uint64_t ops = sample.cumulative.counters[i].second;
       EXPECT_GE(ops, prev_ops);
-      EXPECT_LE(ops, kTotal);
+      EXPECT_LE(ops, all_ops);
       prev_ops = ops;
     }
     for (const auto& row : sample.cumulative.histograms) {
       EXPECT_GE(row.count, prev_hist);
-      EXPECT_LE(row.count, kTotal);
-      // Bounded tear: count (derived from the buckets) and sum are read
-      // as separate atomics, so a mid-hammer mean may skew by the few
-      // records in flight between the two reads — but never further.
-      if (row.count > 0) {
-        EXPECT_NEAR(row.sum / static_cast<double>(row.count), 0.001, 1e-5);
-      }
+      EXPECT_LE(row.count, all_ops);
       prev_hist = row.count;
     }
+  }
+
+  // A snapshot reads the buckets, then `sum`: one preempted between the
+  // two reads mid-hammer sees any number of later records in `sum` alone.
+  // Between rounds no record is in flight, so the pinned scrapes hold
+  // whole records only: the exact count and the recorded mean.
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_EQ(pinned[round].cumulative.histograms.size(), 1u);
+    const auto& row = pinned[round].cumulative.histograms[0];
+    EXPECT_EQ(row.count, round_totals[round]);
+    EXPECT_NEAR(row.sum / static_cast<double>(row.count), 0.001, 1e-5);
   }
 
   // Final scrape == quiesced totals, exactly.
   ASSERT_EQ(final_sample.cumulative.counters.size(), 2u);
   EXPECT_EQ(final_sample.cumulative.counters[1].first, "test/ops");
-  EXPECT_EQ(final_sample.cumulative.counters[1].second, kTotal);
+  EXPECT_EQ(final_sample.cumulative.counters[1].second, all_ops);
   ASSERT_EQ(final_sample.cumulative.histograms.size(), 1u);
-  EXPECT_EQ(final_sample.cumulative.histograms[0].count, kTotal);
+  EXPECT_EQ(final_sample.cumulative.histograms[0].count, all_ops);
 }
 
 TEST(TelemetryScraperTest, StartAndStopAreIdempotent) {

@@ -73,6 +73,14 @@ ClusterModel RunBirch(
 BirchPlus::BirchPlus(size_t dim, const BirchOptions& options)
     : options_(options), tree_(dim, options.tree) {}
 
+void BirchPlus::Reset() {
+  CFTree fresh(tree_.dim(), options_.tree);
+  fresh.set_telemetry(telemetry_);
+  tree_ = std::move(fresh);
+  model_ = ClusterModel();
+  last_stats_ = BirchStats{};
+}
+
 void BirchPlus::AddBlock(const PointBlock& block) {
   last_stats_ = BirchStats{};
   {

@@ -83,6 +83,10 @@ class BirchPlus {
   /// of the same dim/options.
   [[nodiscard]] Status LoadState(persistence::Reader& r);
 
+  /// Returns to the state of a freshly constructed BIRCH+ of the same
+  /// dim/options (empty CF-tree and model), keeping the telemetry binding.
+  void Reset();
+
   /// Binds `registry` for phase spans, the
   /// `birch/{phase1,phase2}_seconds` histograms, and — forwarded to the
   /// CF-tree — insert/rebuild instrumentation. BirchStats stays available

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/status.h"
 #include "common/telemetry.h"
+#include "common/thread_pool.h"
 #include "core/bss.h"
 #include "data/types.h"
 #include "persistence/serializer.h"
@@ -22,13 +23,20 @@ namespace demon {
 /// window-independent and window-relative block selection sequences.
 ///
 /// `Maintainer` is any type with `void AddBlock(BlockPtr)` that evolves a
-/// model by absorbing blocks (e.g. BordersMaintainer, ClusterMaintainer).
+/// model by absorbing blocks (e.g. BordersMaintainer, ClusterMaintainer)
+/// and `void Reset()` that returns it to the state the factory produces.
 /// GEMM never deletes from a model: it keeps one maintainer per future
 /// window overlapping the current one (w models in total), each fed only
 /// the blocks its projected/right-shifted BSS selects. When a block
 /// arrives, the model whose window just became current needs exactly one
 /// A_M invocation — so the response time equals A_M's (§3.2.3) — and the
-/// remaining models can be brought up to date off-line.
+/// remaining models can be brought up to date off-line. Window models
+/// share nothing but the immutable blocks and the bound thread pool, so
+/// the off-line updates run concurrently on that pool and leave every
+/// model byte for byte as a serial drain in window order would. The
+/// window model that retires as the window slides is reset and reused for
+/// the newest future window, so its arrays keep their capacity instead of
+/// being freed and grown again.
 ///
 /// The current model is `current().model()`. The time split between the
 /// time-critical update and the off-line ones is recorded by the caller
@@ -61,24 +69,29 @@ class Gemm {
     DrainOffline();
   }
 
-  /// The time-critical half of AddBlock (§3.2.3's response path): spawns
-  /// and retires window models, then updates only the model whose window
-  /// just became current — exactly one A_M invocation. The future-window
+  /// The time-critical half of AddBlock (§3.2.3's response path): retires
+  /// the model whose window slid out and reuses it for the future window
+  /// starting at this block, then updates only the model whose window just
+  /// became current — exactly one A_M invocation. The future-window
   /// updates are left pending until DrainOffline(); they must be drained
   /// before the next BeginBlock (calling BeginBlock with work still
   /// pending drains it inline first).
   void BeginBlock(BlockPtr block) {
     DrainOffline();
     ++t_;
-    // Spawn the model for the future window starting at this block.
-    models_.push_back({static_cast<BlockId>(t_), factory_()});
-    // Retire the model whose window no longer overlaps the current one.
     const BlockId current_start =
         t_ >= window_size_ ? static_cast<BlockId>(t_ - window_size_ + 1) : 1;
-    while (!models_.empty() && models_.front().start < current_start) {
+    // Window starts are consecutive, so at most the oldest model retires.
+    if (!models_.empty() && models_.front().start < current_start) {
+      Entry recycled = std::move(models_.front());
       models_.pop_front();
+      recycled.start = static_cast<BlockId>(t_);
+      recycled.maintainer.Reset();
+      models_.push_back(std::move(recycled));
+    } else {
+      models_.push_back({static_cast<BlockId>(t_), factory_()});
     }
-    DEMON_CHECK(!models_.empty());
+    DEMON_CHECK(models_.front().start >= current_start);
 
     if (ShouldInclude(models_.front().start)) {
       DEMON_TRACE_SPAN(span, telemetry_,
@@ -91,18 +104,23 @@ class Gemm {
   }
 
   /// The deferrable half: brings every future-window model up to date with
-  /// the block last passed to BeginBlock. No-op when nothing is pending.
+  /// the block last passed to BeginBlock, concurrently on the bound pool
+  /// (serially without one). No-op when nothing is pending.
   void DrainOffline() {
     if (!has_pending_) return;
     DEMON_TRACE_SPAN(drain_span, telemetry_, "gemm-offline", "gemm");
+    [[maybe_unused]] const uint64_t drain_span_id = DEMON_SPAN_ID(drain_span);
+    std::vector<Entry*> due;
     for (size_t i = 1; i < models_.size(); ++i) {
-      if (ShouldInclude(models_[i].start)) {
-        DEMON_TRACE_SPAN(span, telemetry_,
-                         "window@" + std::to_string(models_[i].start),
-                         "gemm");
-        models_[i].maintainer.AddBlock(pending_);
-      }
+      if (ShouldInclude(models_[i].start)) due.push_back(&models_[i]);
     }
+    ParallelFor(pool_, due.size(), [&](size_t i) {
+      // Workers have an empty span stack, so the parent travels explicitly.
+      DEMON_TRACE_SPAN_UNDER(span, telemetry_,
+                             "window@" + std::to_string(due[i]->start),
+                             "gemm", drain_span_id);
+      due[i]->maintainer.AddBlock(pending_);
+    });
     pending_ = BlockPtr();
     has_pending_ = false;
   }
@@ -121,6 +139,11 @@ class Gemm {
 
   /// Latest block id fed in (t).
   BlockId latest_block() const { return static_cast<BlockId>(t_); }
+
+  /// Pool the off-line drain updates window models on (not owned;
+  /// nullable; null drains serially). The maintainers may share it for
+  /// their own fan-out: ParallelFor nests safely.
+  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Registry receiving GEMM's per-window-model spans (nullable; null
   /// disables tracing). No-op in DEMON_TELEMETRY=OFF builds. Response and
@@ -276,6 +299,13 @@ class Gemm {
     return r.status();
   }
 
+  /// The maintainer of the `i`-th window model, oldest (the current one)
+  /// first, in ModelStarts() order (exposed for tests).
+  const Maintainer& window_model(size_t i) const {
+    DEMON_CHECK(i < models_.size());
+    return models_[i].maintainer;
+  }
+
   /// The start block id of every maintained model, oldest first (exposed
   /// for tests).
   std::vector<BlockId> ModelStarts() const {
@@ -315,6 +345,7 @@ class Gemm {
   /// DrainOffline).
   BlockPtr pending_{};
   bool has_pending_ = false;
+  ThreadPool* pool_ = nullptr;
   /// Stays null in DEMON_TELEMETRY=OFF builds (see set_telemetry).
   telemetry::TelemetryRegistry* telemetry_ = nullptr;
 };

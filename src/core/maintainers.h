@@ -33,6 +33,7 @@ class ClusterMaintainer {
       : birch_(dim, options) {}
 
   void AddBlock(const BlockPtr& block) { birch_.AddBlock(*block); }
+  void Reset() { birch_.Reset(); }
 
   void set_telemetry(telemetry::TelemetryRegistry* registry) {
     birch_.set_telemetry(registry);
@@ -61,6 +62,11 @@ class CountingMaintainer {
     records_ += block->size();
     occurrences_ += block->TotalItemOccurrences();
     block_ids_.push_back(block->info().id);
+  }
+  void Reset() {
+    records_ = 0;
+    occurrences_ = 0;
+    block_ids_.clear();
   }
 
   uint64_t records() const { return records_; }
@@ -257,7 +263,10 @@ class GemmItemsetAdapter : public ModelMaintainer {
   AnyBlock::Payload payload() const override {
     return AnyBlock::Payload::kTransactions;
   }
-  void BindThreadPool(ThreadPool* pool) override { counting_pool_ = pool; }
+  void BindThreadPool(ThreadPool* pool) override {
+    counting_pool_ = pool;
+    gemm_.set_thread_pool(pool);
+  }
   void BindTelemetry(telemetry::TelemetryRegistry* registry) override {
     telemetry_registry_ = registry;
     gemm_.set_telemetry(registry);
@@ -388,6 +397,9 @@ class GemmClusterAdapter : public ModelMaintainer {
   std::string_view type_name() const override { return "gemm-clusters"; }
   AnyBlock::Payload payload() const override {
     return AnyBlock::Payload::kPoints;
+  }
+  void BindThreadPool(ThreadPool* pool) override {
+    gemm_.set_thread_pool(pool);
   }
   void BindTelemetry(telemetry::TelemetryRegistry* registry) override {
     telemetry_registry_ = registry;

@@ -49,6 +49,13 @@ class DTreeMaintainer {
 
   size_t blocks_seen() const { return blocks_seen_; }
 
+  /// Returns to the state of a freshly constructed maintainer (an
+  /// untrained tree over the same schema and options).
+  void Reset() {
+    tree_ = DecisionTree(schema_);
+    blocks_seen_ = 0;
+  }
+
   /// Serializes the tree (with leaf AVC statistics) and the block count.
   void SaveState(persistence::Writer& w) const {
     tree_.SaveState(w);

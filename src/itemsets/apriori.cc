@@ -11,10 +11,20 @@ namespace demon {
 ItemsetModel Apriori(
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
     double minsup, size_t num_items, CountingContext* context) {
+  ItemsetModel model(minsup, num_items);
+  AprioriInto(blocks, context, &model);
+  return model;
+}
+
+void AprioriInto(
+    const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+    CountingContext* context, ItemsetModel* out) {
   CountingContext local_context;
   if (context == nullptr) context = &local_context;
 
-  ItemsetModel model(minsup, num_items);
+  ItemsetModel& model = *out;
+  model.Clear();
+  const size_t num_items = model.num_items();
   uint64_t num_transactions = 0;
   for (const auto& block : blocks) num_transactions += block->size();
   model.set_num_transactions(num_transactions);
@@ -48,7 +58,6 @@ ItemsetModel Apriori(
       if (frequent) frequent_prev.push_back(std::move(candidates[i]));
     }
   }
-  return model;
 }
 
 ItemsetModel AprioriOnBlock(const TransactionBlock& block, double minsup,

@@ -31,6 +31,13 @@ ItemsetModel Apriori(
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
     double minsup, size_t num_items, CountingContext* context = nullptr);
 
+/// Apriori into an existing model: `*model` is emptied (see
+/// ItemsetModel::Clear, which keeps its trie's capacity) and mined at its
+/// own minsup over its own item universe, exactly as Apriori() would.
+void AprioriInto(
+    const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
+    CountingContext* context, ItemsetModel* model);
+
 /// Convenience overload for a single block.
 ItemsetModel AprioriOnBlock(const TransactionBlock& block, double minsup,
                             size_t num_items);

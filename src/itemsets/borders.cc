@@ -113,8 +113,7 @@ void BordersMaintainer::AddBlock(
     if (blocks_.empty() && model_.entries().empty()) {
       // First selected block: build the model from scratch (base case).
       blocks_.push_back(std::move(block));
-      model_ =
-          Apriori(blocks_, options_.minsup, options_.num_items, &counting_);
+      AprioriInto(blocks_, &counting_, &model_);
       last_stats_.detection_seconds = timer.Stop();
       return;
     }
@@ -131,6 +130,13 @@ void BordersMaintainer::AddBlock(
   telemetry::ScopedTimer timer(update_hist_);
   Refresh();
   last_stats_.update_seconds = timer.Stop();
+}
+
+void BordersMaintainer::Reset() {
+  model_.Clear();
+  blocks_.clear();
+  tidlists_.Clear();
+  last_stats_ = UpdateStats{};
 }
 
 void BordersMaintainer::RemoveBlockAt(size_t index) {

@@ -51,8 +51,8 @@ struct BordersOptions {
 /// maintainer AuM of §3.2.4 needs; GEMM does not use deletions.
 ///
 /// Copying a maintainer deep-copies the model but shares the immutable
-/// block data and TID-lists — the cheap clone GEMM relies on to keep w
-/// models alive.
+/// block data and TID-lists. GEMM never copies one: it keeps w
+/// maintainers and recycles the retiring window's through Reset().
 class BordersMaintainer {
  public:
   /// Timing/volume breakdown of the last AddBlock/RemoveOldestBlock call,
@@ -75,6 +75,13 @@ class BordersMaintainer {
 
   /// Adds a selected block and brings the model up to date.
   void AddBlock(std::shared_ptr<const TransactionBlock> block);
+
+  /// Returns to the state of a maintainer freshly constructed with
+  /// options(): the model's trie, the blocks and the TID-list store are
+  /// emptied, but the trie's arrays and the counting scratch keep their
+  /// capacity, and the pool and telemetry bindings stay. GEMM recycles its
+  /// retiring window model this way instead of constructing a new one.
+  void Reset();
 
   /// Removes the oldest previously added block and brings the model up to
   /// date (supports AuM-style sliding windows). Requires NumBlocks() >= 1.

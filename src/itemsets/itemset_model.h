@@ -42,6 +42,13 @@ class ItemsetModel {
   }
   size_t num_items() const { return num_items_; }
 
+  /// Empties the model — no itemsets, no transactions — keeping minsup,
+  /// the item universe and the trie's capacity.
+  void Clear() {
+    entries_.Clear();
+    num_transactions_ = 0;
+  }
+
   uint64_t num_transactions() const { return num_transactions_; }
   void set_num_transactions(uint64_t n) { num_transactions_ = n; }
   void AddTransactions(uint64_t n) { num_transactions_ += n; }

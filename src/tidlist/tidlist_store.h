@@ -245,10 +245,8 @@ class BlockTidLists {
 };
 
 /// \brief The TID-list store of an evolving database: one BlockTidLists per
-/// selected block, appended as blocks arrive. Copies are cheap (blocks are
-/// shared immutable state, and copies share the pager that accounts them),
-/// which is what lets GEMM keep w models whose histories overlap without
-/// duplicating lists.
+/// selected block, appended as blocks arrive. Copies are cheap: blocks are
+/// shared immutable state, and copies share the pager that accounts them.
 class TidListStore {
  public:
   /// Options from the environment (the CI soak hook); unbounded when the
@@ -259,12 +257,15 @@ class TidListStore {
   explicit TidListStore(const TidListStoreOptions& options);
 
   /// Appends a block, attaching it to this store's pager (if any and the
-  /// block is not yet managed — blocks shared across GEMM store copies
-  /// keep their first pager).
+  /// block is not yet managed — blocks shared across store copies keep
+  /// their first pager).
   void Append(std::shared_ptr<const BlockTidLists> block);
 
   /// Drops the `count` oldest blocks (AuM-style deletion support).
   void DropOldest(size_t count);
+
+  /// Drops every block; the pager (if any) stays bound to the store.
+  void Clear() { blocks_.clear(); }
 
   /// Drops the block at position `index`.
   void DropAt(size_t index);

@@ -556,5 +556,37 @@ TEST(BordersTest, RetiredRowsAreNotCheckpointed) {
   }
 }
 
+// Reset() drops everything a stream left behind — model, retired rows,
+// blocks and ECUT+ pair lists — so a second stream sees a fresh maintainer.
+TEST(BordersTest, ResetLeavesNoState) {
+  const BordersOptions options = OscillatingOptions(CountingStrategy::kEcutPlus);
+  BordersMaintainer recycled(options);
+  for (const BlockPtr& block : OscillatingBlocks(4)) recycled.AddBlock(block);
+  ASSERT_GT(recycled.model().entries().num_retired(), 0u);
+  ASSERT_GT(recycled.tidlist_store().TotalPairSlots(), 0u);
+  recycled.Reset();
+
+  const auto second = MakeQuestBlocks(4, 300, 12, 61, /*avg_len=*/4.0);
+  BordersMaintainer fresh(options);
+  std::vector<BlockPtr> so_far;
+  for (const BlockPtr& block : second) {
+    recycled.AddBlock(block);
+    fresh.AddBlock(block);
+    so_far.push_back(block);
+    persistence::Writer recycled_state;
+    persistence::Writer fresh_state;
+    recycled.SaveState(recycled_state);
+    fresh.SaveState(fresh_state);
+    EXPECT_EQ(recycled_state.buffer(), fresh_state.buffer());
+    EXPECT_EQ(recycled.tidlist_store().TotalPayloadBytes(),
+              fresh.tidlist_store().TotalPayloadBytes());
+    EXPECT_EQ(recycled.model().entries().num_retired(),
+              fresh.model().entries().num_retired());
+    ExpectModelsEqual(recycled.model(),
+                      Apriori(so_far, options.minsup, options.num_items));
+    ExpectAuditsClean(recycled);
+  }
+}
+
 }  // namespace
 }  // namespace demon

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "clustering/birch.h"
+#include "common/thread_pool.h"
 #include "core/aum.h"
 #include "core/maintainers.h"
 #include "datagen/cluster_generator.h"
@@ -15,16 +19,22 @@ namespace {
 using TxBlockPtr = std::shared_ptr<const TransactionBlock>;
 using PtBlockPtr = std::shared_ptr<const PointBlock>;
 
-std::vector<TxBlockPtr> MakeBlocks(size_t num_blocks, size_t block_size,
-                                   size_t num_items, uint64_t seed) {
+QuestParams TestQuestParams(size_t num_transactions, size_t num_items,
+                            uint64_t seed) {
   QuestParams params;
-  params.num_transactions = num_blocks * block_size;
+  params.num_transactions = num_transactions;
   params.num_items = num_items;
   params.num_patterns = 30;
   params.avg_transaction_len = 6;
   params.avg_pattern_len = 3;
   params.seed = seed;
-  QuestGenerator gen(params);
+  return params;
+}
+
+std::vector<TxBlockPtr> MakeBlocks(size_t num_blocks, size_t block_size,
+                                   size_t num_items, uint64_t seed) {
+  QuestGenerator gen(
+      TestQuestParams(num_blocks * block_size, num_items, seed));
   std::vector<TxBlockPtr> blocks;
   Tid tid = 0;
   for (size_t b = 0; b < num_blocks; ++b) {
@@ -35,6 +45,45 @@ std::vector<TxBlockPtr> MakeBlocks(size_t num_blocks, size_t block_size,
     blocks.push_back(std::move(block));
   }
   return blocks;
+}
+
+// A Quest stream whose patterns are replaced every 4 blocks, so window
+// models demote, prune and retire itemsets as the window slides.
+std::vector<TxBlockPtr> MakeDriftingBlocks(size_t num_blocks,
+                                           size_t block_size,
+                                           size_t num_items, uint64_t seed) {
+  constexpr size_t kPeriod = 4;
+  std::vector<TxBlockPtr> blocks;
+  std::unique_ptr<QuestGenerator> gen;
+  Tid tid = 0;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    if (b % kPeriod == 0) {
+      gen = std::make_unique<QuestGenerator>(
+          TestQuestParams(kPeriod * block_size, num_items, seed + b));
+    }
+    auto block =
+        std::make_shared<TransactionBlock>(gen->NextBlock(block_size, tid));
+    tid += block->size();
+    block->mutable_info()->id = static_cast<BlockId>(b + 1);
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
+std::string StateOf(const BordersMaintainer& maintainer) {
+  persistence::Writer w;
+  maintainer.SaveState(w);
+  return w.buffer();
+}
+
+// One window-independent and one window-relative BSS for window size w.
+std::vector<BlockSelectionSequence> BssPairFor(size_t w) {
+  std::vector<bool> relative = {true, false, true, true, false};
+  relative.resize(w);
+  return {BlockSelectionSequence::WindowIndependent(
+              {true, false, true, true, false, true, true, false, true},
+              /*tail_bit=*/true),
+          BlockSelectionSequence::WindowRelative(relative)};
 }
 
 // Ground truth for routing tests: blocks the current model must cover
@@ -220,15 +269,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GemmTest, ClusterModelMatchesFromScratchBirch) {
   // GEMM over BIRCH+ gives most-recent-window clustering, which BIRCH
   // alone cannot (no deletions, §3.2.4). Check against from-scratch BIRCH
-  // on the window's selected blocks.
+  // on the window's selected blocks; from block 2w on, the current model
+  // is a recycled one.
   ClusterGenParams params;
-  params.num_points = 4000;
+  params.num_points = 5600;
   params.num_clusters = 6;
   params.dim = 3;
   params.seed = 47;
   ClusterGenerator gen(params);
   std::vector<PtBlockPtr> blocks;
-  for (int b = 0; b < 5; ++b) {
+  for (int b = 0; b < 7; ++b) {
     auto block = std::make_shared<PointBlock>(gen.NextBlock(800));
     block->mutable_info()->id = static_cast<BlockId>(b + 1);
     blocks.push_back(std::move(block));
@@ -263,31 +313,123 @@ TEST(GemmTest, TelemetrySpansCoverResponseAndOffline) {
   BordersOptions options;
   options.minsup = 0.05;
   options.num_items = 30;
-  telemetry::TelemetryRegistry registry;
-  Gemm<BordersMaintainer, TxBlockPtr> gemm(
-      BlockSelectionSequence::AllBlocks(), 3,
-      [&options] { return BordersMaintainer(options); });
-  gemm.set_telemetry(&registry);
-  for (const auto& block : blocks) gemm.AddBlock(block);
-  const std::vector<telemetry::SpanRecord> spans = registry.CollectSpans();
-  if constexpr (telemetry::kEnabled) {
-    // Every AddBlock emits one response-path window span; the eager
-    // DrainOffline inside AddBlock emits a gemm-offline span per block.
+  ThreadPool two_threads(2);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two_threads}) {
+    SCOPED_TRACE(pool == nullptr ? "serial drain" : "pooled drain");
+    telemetry::TelemetryRegistry registry;
+    Gemm<BordersMaintainer, TxBlockPtr> gemm(
+        BlockSelectionSequence::AllBlocks(), 3,
+        [&options] { return BordersMaintainer(options); });
+    gemm.set_telemetry(&registry);
+    gemm.set_thread_pool(pool);
+    for (const auto& block : blocks) gemm.AddBlock(block);
+    const std::vector<telemetry::SpanRecord> spans = registry.CollectSpans();
+    if constexpr (!telemetry::kEnabled) {
+      EXPECT_TRUE(spans.empty());
+      continue;
+    }
+    // Every AddBlock emits one response-path window span (a root here)
+    // and one gemm-offline span; each off-line window span hangs off its
+    // block's gemm-offline span, whichever thread emitted it. With w = 3
+    // the blocks drain 0, 1, 2, 2 and 2 future windows.
+    std::map<uint64_t, const telemetry::SpanRecord*> drains;
+    for (const auto& span : spans) {
+      if (span.name == "gemm-offline") drains[span.id] = &span;
+    }
+    EXPECT_EQ(drains.size(), blocks.size());
     size_t response_spans = 0;
-    size_t offline_spans = 0;
+    size_t offline_window_spans = 0;
     for (const auto& span : spans) {
       EXPECT_EQ(span.category, "gemm");
       EXPECT_GE(span.end_ns, span.start_ns);
-      if (span.name == "gemm-offline") {
-        ++offline_spans;
-      } else if (span.name.rfind("window@", 0) == 0) {
+      if (span.name.rfind("window@", 0) != 0) continue;
+      if (span.parent == 0) {
         ++response_spans;
+        continue;
+      }
+      const auto drain = drains.find(span.parent);
+      ASSERT_NE(drain, drains.end()) << span.name << " has a parent that "
+                                     << "is not a gemm-offline span";
+      EXPECT_GE(span.start_ns, drain->second->start_ns) << span.name;
+      EXPECT_LE(span.end_ns, drain->second->end_ns) << span.name;
+      ++offline_window_spans;
+    }
+    EXPECT_EQ(response_spans, blocks.size());
+    EXPECT_EQ(offline_window_spans, 7u);
+  }
+}
+
+// The off-line drain on a pool leaves every window model byte for byte
+// as the serial drain does, after every block.
+TEST(GemmTest, ConcurrentDrainMatchesSerialDrain) {
+  const auto blocks = MakeDriftingBlocks(12, 200, 40, 51);
+  BordersOptions options;
+  options.minsup = 0.05;
+  options.num_items = 40;
+  options.strategy = CountingStrategy::kEcutPlus;
+  ThreadPool pool(2);
+  for (const size_t w : {1, 2, 3, 5}) {
+    for (const BlockSelectionSequence& bss : BssPairFor(w)) {
+      SCOPED_TRACE("w=" + std::to_string(w) +
+                   (bss.is_window_relative() ? " relative" : " independent"));
+      Gemm<BordersMaintainer, TxBlockPtr> serial(
+          bss, w, [&options] { return BordersMaintainer(options); });
+      Gemm<BordersMaintainer, TxBlockPtr> concurrent(bss, w, [&] {
+        BordersMaintainer maintainer(options);
+        maintainer.set_counting_pool(&pool);
+        return maintainer;
+      });
+      concurrent.set_thread_pool(&pool);
+      for (const TxBlockPtr& block : blocks) {
+        SCOPED_TRACE("block " + std::to_string(block->info().id));
+        serial.AddBlock(block);
+        concurrent.AddBlock(block);
+        ASSERT_EQ(concurrent.ModelStarts(), serial.ModelStarts());
+        for (size_t i = 0; i < serial.NumModels(); ++i) {
+          EXPECT_EQ(StateOf(concurrent.window_model(i)),
+                    StateOf(serial.window_model(i)))
+              << "window model " << i;
+        }
       }
     }
-    EXPECT_GE(response_spans, blocks.size());
-    EXPECT_EQ(offline_spans, blocks.size());
-  } else {
-    EXPECT_TRUE(spans.empty());
+  }
+}
+
+// A window model reset and reused for a new window is indistinguishable
+// from a factory-fresh maintainer fed the blocks that window selects.
+TEST(GemmTest, RecycledWindowModelMatchesFreshModel) {
+  const auto blocks = MakeDriftingBlocks(12, 200, 40, 52);
+  BordersOptions options;
+  options.minsup = 0.05;
+  options.num_items = 40;
+  options.strategy = CountingStrategy::kEcutPlus;
+  for (const size_t w : {2, 3, 5}) {
+    for (const BlockSelectionSequence& bss : BssPairFor(w)) {
+      SCOPED_TRACE("w=" + std::to_string(w) +
+                   (bss.is_window_relative() ? " relative" : " independent"));
+      Gemm<BordersMaintainer, TxBlockPtr> gemm(
+          bss, w, [&options] { return BordersMaintainer(options); });
+      for (size_t t = 1; t <= blocks.size(); ++t) {
+        gemm.AddBlock(blocks[t - 1]);
+        // From 2w blocks on, every window model has been recycled.
+        if (t < 2 * w) continue;
+        const std::vector<BlockId> starts = gemm.ModelStarts();
+        for (size_t i = 0; i < starts.size(); ++i) {
+          SCOPED_TRACE("t=" + std::to_string(t) + " window@" +
+                       std::to_string(starts[i]));
+          BordersMaintainer fresh(options);
+          for (const BlockId id : gemm.ExpectedSelection(starts[i])) {
+            fresh.AddBlock(blocks[id - 1]);
+          }
+          const BordersMaintainer& recycled = gemm.window_model(i);
+          EXPECT_EQ(StateOf(recycled), StateOf(fresh));
+          EXPECT_EQ(recycled.model().entries().num_retired(),
+                    fresh.model().entries().num_retired());
+          EXPECT_EQ(recycled.tidlist_store().TotalPayloadBytes(),
+                    fresh.tidlist_store().TotalPayloadBytes());
+        }
+      }
+    }
   }
 }
 

@@ -67,7 +67,7 @@ void BordersMaintainer::FoldBlockCounts(const TransactionBlock& block,
   ItemsetTrie& trie = *model_.mutable_entries();
   // The walk also keeps the retired rows exact over the changed history.
   const std::vector<uint64_t>& deltas =
-      counting_.PtScanNodes(trie, {alias}, sign);
+      counting_.PtScanNodes(&trie, {alias}, sign);
   trie.ForEachTrackedNode([&](ItemsetTrie::NodeId node) {
     uint64_t& count = trie.mutable_count(node);
     if (sign > 0) {

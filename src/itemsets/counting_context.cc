@@ -108,7 +108,7 @@ std::vector<uint64_t> CountingContext::PtScan(
     nodes.push_back(candidates_.Insert(itemset));
   }
   const std::vector<uint64_t>& node_counts =
-      CountOnTrie(candidates_, blocks, itemsets.size(), /*retired_sign=*/0,
+      CountOnTrie(&candidates_, blocks, itemsets.size(), /*retired_sign=*/0,
                   DEMON_SPAN_ID(call_span), stats);
   std::vector<uint64_t> counts;
   counts.reserve(nodes.size());
@@ -119,16 +119,16 @@ std::vector<uint64_t> CountingContext::PtScan(
 }
 
 const std::vector<uint64_t>& CountingContext::PtScanNodes(
-    const ItemsetTrie& trie,
+    ItemsetTrie* trie,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
     int retired_sign, CountingStats* stats) {
   DEMON_TRACE_SPAN(call_span, telemetry_, "pt-scan", "counting");
-  return CountOnTrie(trie, blocks, trie.size(), retired_sign,
+  return CountOnTrie(trie, blocks, trie->size(), retired_sign,
                      DEMON_SPAN_ID(call_span), stats);
 }
 
 const std::vector<uint64_t>& CountingContext::CountOnTrie(
-    const ItemsetTrie& trie,
+    ItemsetTrie* trie,
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
     size_t num_itemsets, int retired_sign,
     [[maybe_unused]] uint64_t call_span_id, CountingStats* stats) {
@@ -138,10 +138,16 @@ const std::vector<uint64_t>& CountingContext::CountOnTrie(
       ShardCountFor(total_transactions, kMinTransactionsPerShard);
   PrepareScratch(shards);
 
-  // The trie's structure is read-only during the walk, so every shard
-  // shares it and owns only a per-node count array; retired-row counts
-  // are updated in place with atomics.
-  const size_t num_nodes = trie.node_capacity();
+  // The walk only reads the trie, so every shard shares it and owns a
+  // per-node count array plus, when retired rows are counted, a uint32
+  // delta per row entry (numbered here, before the fan-out). Both are
+  // summed after the barrier, and the deltas applied to the rows once.
+  const size_t num_nodes = trie->node_capacity();
+  const size_t num_retired = retired_sign != 0 ? trie->NumberRetired() : 0;
+  // No entry gains more than one delta per transaction, so the sums fit.
+  DEMON_CHECK(num_retired == 0 ||
+              total_transactions < ItemsetTrie::kRetiredCountUnknown);
+  const ItemsetTrie& walked = *trie;
   const bool collect_stats = CollectStats(stats);
   ParallelFor(shards > 1 ? pool_ : nullptr, shards, [&](size_t shard) {
     // The dispatching thread claims shards too, but workers have an empty
@@ -151,7 +157,10 @@ const std::vector<uint64_t>& CountingContext::CountOnTrie(
                            "counting", call_span_id);
     Scratch& s = *scratch_[shard];
     s.node_counts.assign(num_nodes, 0);
+    s.retired_deltas.assign(num_retired, 0);
     uint64_t* const counts = s.node_counts.data();
+    uint32_t* const retired =
+        num_retired > 0 ? s.retired_deltas.data() : nullptr;
     const auto [begin, end] = ShardRange(total_transactions, shard, shards);
     uint64_t touched = 0;
     size_t offset = 0;
@@ -162,8 +171,9 @@ const std::vector<uint64_t>& CountingContext::CountOnTrie(
       const size_t hi = std::min(transactions.size(), end - offset);
       for (size_t i = lo; i < hi; ++i) {
         const std::vector<Item>& items = transactions[i].items();
-        trie.CountTransactionInto(items.data(), items.data() + items.size(),
-                                  counts, retired_sign);
+        walked.CountTransactionInto(items.data(),
+                                    items.data() + items.size(), counts,
+                                    retired);
         if (collect_stats) touched += items.size();
       }
       offset += transactions.size();
@@ -172,10 +182,15 @@ const std::vector<uint64_t>& CountingContext::CountOnTrie(
   });
 
   std::vector<uint64_t>& counts = scratch_[0]->node_counts;
+  std::vector<uint32_t>& deltas = scratch_[0]->retired_deltas;
   for (size_t shard = 1; shard < shards; ++shard) {
     const std::vector<uint64_t>& partial = scratch_[shard]->node_counts;
     for (size_t n = 0; n < num_nodes; ++n) counts[n] += partial[n];
+    const std::vector<uint32_t>& partial_deltas =
+        scratch_[shard]->retired_deltas;
+    for (size_t i = 0; i < num_retired; ++i) deltas[i] += partial_deltas[i];
   }
+  if (num_retired > 0) trie->ApplyRetired(deltas.data(), retired_sign);
   MergeStats(shards, stats);
   if (slots_fetched_ != nullptr) {
     uint64_t touched = 0;

@@ -29,8 +29,9 @@ namespace demon {
 ///
 /// Results are bit-identical to the sequential path for every strategy and
 /// thread count (DESIGN.md invariant 2): ECUT shards write disjoint count
-/// slots, PT-Scan sums per-shard uint64 counts (integer addition is
-/// order-independent), and stats are merged as sums.
+/// slots, PT-Scan sums per-shard uint64 node counts and uint32 retired-row
+/// deltas (integer addition is order-independent), and stats are merged as
+/// sums.
 ///
 /// A context belongs to one maintainer and is not itself thread-safe: one
 /// counting call at a time. Distinct contexts may share a pool freely.
@@ -89,14 +90,16 @@ class CountingContext {
 
   /// PT-Scan directly on `trie`'s own nodes — BORDERS detection counts
   /// the new block on the model this way, with no tree to build. The
-  /// result, indexed by NodeId (size trie.node_capacity()), holds every
+  /// result, indexed by NodeId (size trie->node_capacity()), holds every
   /// tracked node's support over `blocks`; slots of untracked nodes are
   /// meaningless. It is a buffer of this context, valid until its next
-  /// counting call. The same walk adds `retired_sign` (+1 for blocks
-  /// joining the history, -1 for blocks leaving it) to the trie's
-  /// retired-row entries the blocks' transactions hold.
+  /// counting call. With a nonzero `retired_sign` (+1 for blocks joining
+  /// the history, -1 for blocks leaving it), the same walk also counts
+  /// the trie's retired-row entries the blocks' transactions hold, into
+  /// per-shard deltas that are summed and applied to the trie once after
+  /// the walk (ItemsetTrie::ApplyRetired). Entry counts are left alone.
   const std::vector<uint64_t>& PtScanNodes(
-      const ItemsetTrie& trie,
+      ItemsetTrie* trie,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
       int retired_sign, CountingStats* stats = nullptr);
 
@@ -143,8 +146,10 @@ class CountingContext {
   /// Per-shard reusable state. unique_ptr entries keep addresses stable
   /// while workers use them.
   struct Scratch {
-    /// PT-Scan per-node counts (shard 0's doubles as the result).
+    /// PT-Scan per-node counts (shard 0's doubles as the result) and
+    /// per-retired-entry deltas (shard 0's holds the sum).
     std::vector<uint64_t> node_counts;
+    std::vector<uint32_t> retired_deltas;
     std::vector<uint64_t> item_counts;
     IntersectionScratch intersect;
     std::vector<TidListView> views;
@@ -177,9 +182,10 @@ class CountingContext {
   void PrepareScratch(size_t shards);
 
   /// The sharded walk behind PtScan and PtScanNodes, under the caller's
-  /// `pt-scan` span; returns shard 0's summed node counts.
+  /// `pt-scan` span; returns shard 0's summed node counts, and applies
+  /// the summed retired deltas with `retired_sign` when it is nonzero.
   const std::vector<uint64_t>& CountOnTrie(
-      const ItemsetTrie& trie,
+      ItemsetTrie* trie,
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
       size_t num_itemsets, int retired_sign, uint64_t call_span_id,
       CountingStats* stats);

@@ -1,7 +1,6 @@
 #include "itemsets/itemset_trie.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <functional>
 #include <limits>
@@ -10,10 +9,6 @@ namespace demon {
 
 namespace {
 
-// Edge-pool holes are compacted away once they exceed the live blocks by
-// this many slots — small pools never pay for a compaction.
-constexpr size_t kCompactionSlack = 1024;
-
 // A node gets a child bitmap once it has this many children, and at least
 // one per kItemsPerWideChild items of its universe (one past its largest
 // child item). At that density the bitmap and its uint32 rank per word,
@@ -21,7 +16,8 @@ constexpr size_t kCompactionSlack = 1024;
 // bitmap is kept while the children stay above half that density of its
 // own items, so it never costs more than twice the edges; past that (a
 // child far beyond the bitmap, or children erased) it is rebuilt to the
-// node's universe if the node is still wide, else released.
+// node's universe if the node is still wide, else released. Retired rows
+// get bitmaps by the same rule, their entries standing for children.
 constexpr uint32_t kMinWideChildren = 16;
 constexpr uint64_t kItemsPerWideChild = 43;
 
@@ -30,11 +26,18 @@ bool WideEnough(uint64_t children, uint64_t universe) {
          children * kItemsPerWideChild >= universe;
 }
 
+// One past the largest of the `n` ascending `items` (0 when empty).
+uint64_t UniverseOf(const Item* items, size_t n) {
+  return n == 0 ? 0 : uint64_t{items[n - 1]} + 1;
+}
+
 }  // namespace
 
-// True when `bitmap` indexes exactly the `n` ascending `items`.
-bool ItemsetTrie::BitmapMatches(const RankBitmap& bitmap, const Item* items,
-                                size_t n) {
+// True when `bitmap` indexes exactly the `n` ascending `items` and is
+// within the release bound of the density rule.
+bool ItemsetTrie::BitmapFits(const RankBitmap& bitmap, const Item* items,
+                             size_t n) {
+  if (!WideEnough(2 * uint64_t{n}, bitmap.limit())) return false;
   size_t bits = 0;
   for (const uint64_t word : bitmap.bits) bits += std::popcount(word);
   if (bits != n) return false;
@@ -54,13 +57,15 @@ void ItemsetTrie::Clear() {
   entries_.push_back(Entry{});
   child_items_.clear();
   child_nodes_.clear();
+  child_leaf_.clear();
   level1_.clear();
   free_nodes_.clear();
   probes_.clear();
   free_probes_.clear();
+  holes_.clear();
   rows_.clear();
   retired_live_ = 0;
-  edges_in_blocks_ = 0;
+  rows_numbered_ = true;
   num_tracked_ = 0;
   num_frequent_ = 0;
   frequent_stale_ = false;
@@ -106,15 +111,34 @@ ItemsetTrie::NodeId ItemsetTrie::AllocateNode(NodeId parent, Item item) {
     nodes_.push_back(Node{});
     entries_.push_back(Entry{});
   }
-  // A reused slot keeps its (empty) edge block for its new children.
   Node& n = nodes_[node];
+  DEMON_CHECK(!n.has_row && n.probe == 0 && n.child_capacity == 0);
   n.parent = parent;
   n.item = item;
   n.child_count = 0;
   n.tracked = false;
-  DEMON_CHECK(!n.has_row && n.probe == 0);
   entries_[node] = Entry{};
   return node;
+}
+
+uint32_t ItemsetTrie::AllocateBlock(uint32_t capacity) {
+  const auto size_class = static_cast<size_t>(std::countr_zero(capacity));
+  if (size_class < holes_.size() && !holes_[size_class].empty()) {
+    const uint32_t begin = holes_[size_class].back();
+    holes_[size_class].pop_back();
+    return begin;
+  }
+  const auto begin = static_cast<uint32_t>(child_items_.size());
+  child_items_.resize(begin + capacity);
+  child_nodes_.resize(begin + capacity);
+  child_leaf_.resize(begin + capacity);
+  return begin;
+}
+
+void ItemsetTrie::FreeBlock(uint32_t begin, uint32_t capacity) {
+  const auto size_class = static_cast<size_t>(std::countr_zero(capacity));
+  if (holes_.size() <= size_class) holes_.resize(size_class + 1);
+  holes_[size_class].push_back(begin);
 }
 
 ItemsetTrie::NodeId ItemsetTrie::ChildOrInsert(NodeId node, Item item) {
@@ -133,21 +157,17 @@ ItemsetTrie::NodeId ItemsetTrie::ChildOrInsert(NodeId node, Item item) {
   const NodeId child = AllocateNode(node, item);  // may grow nodes_
   Node& n = nodes_[node];
   if (n.child_count == n.child_capacity) {
-    // Relocate the block to the end of the pool with doubled capacity;
-    // the old block becomes a hole.
+    // Relocate the block to one of doubled capacity; the old block
+    // becomes a hole.
     const uint32_t capacity = std::max<uint32_t>(2, 2 * n.child_capacity);
-    if (child_items_.size() - edges_in_blocks_ >
-        edges_in_blocks_ + kCompactionSlack) {
-      CompactEdges();
-    }
-    const auto fresh = static_cast<uint32_t>(child_items_.size());
-    child_items_.resize(fresh + capacity);
-    child_nodes_.resize(fresh + capacity);
+    const uint32_t fresh = AllocateBlock(capacity);
     std::copy_n(child_items_.begin() + n.child_begin, n.child_count,
                 child_items_.begin() + fresh);
     std::copy_n(child_nodes_.begin() + n.child_begin, n.child_count,
                 child_nodes_.begin() + fresh);
-    edges_in_blocks_ += capacity - n.child_capacity;
+    std::copy_n(child_leaf_.begin() + n.child_begin, n.child_count,
+                child_leaf_.begin() + fresh);
+    if (n.child_capacity > 0) FreeBlock(n.child_begin, n.child_capacity);
     n.child_begin = fresh;
     n.child_capacity = capacity;
   }
@@ -157,11 +177,25 @@ ItemsetTrie::NodeId ItemsetTrie::ChildOrInsert(NodeId node, Item item) {
                      child_items_.begin() + tail + 1);
   std::copy_backward(child_nodes_.begin() + at, child_nodes_.begin() + tail,
                      child_nodes_.begin() + tail + 1);
+  std::copy_backward(child_leaf_.begin() + at, child_leaf_.begin() + tail,
+                     child_leaf_.begin() + tail + 1);
   child_items_[at] = item;
   child_nodes_[at] = child;
-  ++n.child_count;
+  child_leaf_[at] = 1;  // a fresh node has no children and no row
+  if (++n.child_count == 1) UpdateLeafFlag(node);
   UpdateProbe(node, item, /*inserted=*/true);
   return child;
+}
+
+void ItemsetTrie::UpdateLeafFlag(NodeId node) {
+  const NodeId parent = nodes_[node].parent;
+  if (parent == kRoot) return;  // level-1 nodes have no edge slot
+  const Node& p = nodes_[parent];
+  const Item* const first = child_items_.data() + p.child_begin;
+  const Item* const it =
+      std::lower_bound(first, first + p.child_count, nodes_[node].item);
+  DEMON_CHECK(it != first + p.child_count && *it == nodes_[node].item);
+  child_leaf_[it - child_items_.data()] = IsLeaf(node);
 }
 
 void ItemsetTrie::RankBitmap::Build(const Item* items, size_t n) {
@@ -189,26 +223,29 @@ bool ItemsetTrie::RankBitmap::Update(Item item, bool inserted) {
   return true;
 }
 
+bool ItemsetTrie::RankBitmap::Follow(const Item* items, size_t n, Item item,
+                                     bool inserted) {
+  if (Update(item, inserted) && WideEnough(2 * uint64_t{n}, limit())) {
+    return true;
+  }
+  // The item lies past the bitmap, or the items thinned out: resize the
+  // bitmap to their universe while they are still wide.
+  if (!WideEnough(n, UniverseOf(items, n))) return false;
+  Build(items, n);
+  return true;
+}
+
 void ItemsetTrie::UpdateProbe(NodeId node, Item item, bool inserted) {
   const Node& n = nodes_[node];
-  const uint64_t universe =
-      n.child_count == 0
-          ? 0
-          : uint64_t{child_items_[n.child_begin + n.child_count - 1]} + 1;
+  const Item* const items = child_items_.data() + n.child_begin;
   if (n.probe == 0) {
-    if (inserted && WideEnough(n.child_count, universe)) BuildProbe(node);
+    if (inserted &&
+        WideEnough(n.child_count, UniverseOf(items, n.child_count))) {
+      BuildProbe(node);
+    }
     return;
   }
-  RankBitmap& probe = probes_[n.probe - 1];
-  if (probe.Update(item, inserted) &&
-      WideEnough(2 * uint64_t{n.child_count}, probe.limit())) {
-    return;
-  }
-  // The child lies past the bitmap, or the node thinned out: resize the
-  // bitmap to the node's universe while the node is still wide.
-  if (WideEnough(n.child_count, universe)) {
-    BuildProbe(node);
-  } else {
+  if (!probes_[n.probe - 1].Follow(items, n.child_count, item, inserted)) {
     ReleaseProbe(node);
   }
 }
@@ -235,23 +272,6 @@ void ItemsetTrie::ReleaseProbe(NodeId node) {
   probes_[n.probe - 1] = RankBitmap{};
   free_probes_.push_back(n.probe);
   n.probe = 0;
-}
-
-void ItemsetTrie::CompactEdges() {
-  std::vector<Item> items(edges_in_blocks_);
-  std::vector<NodeId> nodes(edges_in_blocks_);
-  uint32_t next = 0;
-  for (Node& n : nodes_) {
-    if (n.child_capacity == 0) continue;
-    std::copy_n(child_items_.begin() + n.child_begin, n.child_count,
-                items.begin() + next);
-    std::copy_n(child_nodes_.begin() + n.child_begin, n.child_count,
-                nodes.begin() + next);
-    n.child_begin = next;
-    next += n.child_capacity;
-  }
-  child_items_ = std::move(items);
-  child_nodes_ = std::move(nodes);
 }
 
 ItemsetTrie::NodeId ItemsetTrie::Insert(const Item* items, size_t n,
@@ -284,11 +304,13 @@ void ItemsetTrie::RemoveChild(NodeId parent, NodeId child) {
   const auto it = std::lower_bound(first, last, item);
   DEMON_CHECK(it != last && *it == item);
   const auto at = static_cast<size_t>(it - child_items_.begin());
+  const size_t tail = n.child_begin + n.child_count;
   std::copy(it + 1, last, it);
-  std::copy(child_nodes_.begin() + at + 1,
-            child_nodes_.begin() + n.child_begin + n.child_count,
+  std::copy(child_nodes_.begin() + at + 1, child_nodes_.begin() + tail,
             child_nodes_.begin() + at);
-  --n.child_count;
+  std::copy(child_leaf_.begin() + at + 1, child_leaf_.begin() + tail,
+            child_leaf_.begin() + at);
+  if (--n.child_count == 0) UpdateLeafFlag(parent);
   UpdateProbe(parent, item, /*inserted=*/false);
 }
 
@@ -304,7 +326,12 @@ void ItemsetTrie::Erase(NodeId node) {
          nodes_[node].child_count == 0) {
     const NodeId parent = nodes_[node].parent;
     RemoveChild(parent, node);
-    nodes_[node].parent = kNoNode;
+    Node& freed = nodes_[node];
+    if (freed.child_capacity > 0) {
+      FreeBlock(freed.child_begin, freed.child_capacity);
+      freed.child_capacity = 0;
+    }
+    freed.parent = kNoNode;
     free_nodes_.push_back(node);
     node = parent;
   }
@@ -342,8 +369,16 @@ void ItemsetTrie::Retire(NodeId node, const Item* items,
   }
   row.items = std::move(merged_items);
   row.counts = std::move(merged_counts);
-  nodes_[node].has_row = true;
+  row.index = RankBitmap{};
+  if (WideEnough(size, UniverseOf(row.items.data(), size))) {
+    row.index.Build(row.items.data(), size);
+  }
   retired_live_ += n;
+  rows_numbered_ = false;
+  if (!nodes_[node].has_row) {
+    nodes_[node].has_row = true;
+    UpdateLeafFlag(node);
+  }
 }
 
 bool ItemsetTrie::TakeRetired(NodeId node, Item item, uint64_t* count) {
@@ -357,12 +392,21 @@ bool ItemsetTrie::TakeRetired(NodeId node, Item item, uint64_t* count) {
   row.items.erase(entry);
   row.counts.erase(row.counts.begin() + at);
   --retired_live_;
+  rows_numbered_ = false;
   if (row.items.empty()) {
     rows_.erase(it);
     nodes_[node].has_row = false;
-  } else if (2 * row.items.size() < row.items.capacity()) {
-    row.items.shrink_to_fit();
-    row.counts.shrink_to_fit();
+    UpdateLeafFlag(node);
+  } else {
+    if (2 * row.items.size() < row.items.capacity()) {
+      row.items.shrink_to_fit();
+      row.counts.shrink_to_fit();
+    }
+    if (!row.index.empty() &&
+        !row.index.Follow(row.items.data(), row.items.size(), item,
+                          /*inserted=*/false)) {
+      row.index = RankBitmap{};
+    }
   }
   if (retired == kRetiredCountUnknown) return false;
   *count = retired;
@@ -370,26 +414,23 @@ bool ItemsetTrie::TakeRetired(NodeId node, Item item, uint64_t* count) {
 }
 
 void ItemsetTrie::FoldRetired(NodeId node, const Item* begin,
-                              const Item* end, int sign) const {
+                              const Item* end, uint32_t* retired) const {
   const RetiredRow& row = rows_.find(node)->second;
-  const auto fold = [&row, sign](size_t i) {
-    std::atomic_ref<uint32_t> count(row.counts[i]);
-    uint32_t old = count.load(std::memory_order_relaxed);
-    uint32_t next = 0;
-    do {
-      if (old == kRetiredCountUnknown) return;
-      DEMON_CHECK_MSG(sign > 0 || old > 0,
-                      "deletion underflows a retired count");
-      next = sign > 0 ? old + 1 : old - 1;  // saturates at unknown
-    } while (!count.compare_exchange_weak(old, next,
-                                          std::memory_order_relaxed));
-  };
+  uint32_t* const deltas = retired + row.first_delta;
+  if (!row.index.empty()) {
+    const RankBitmap& index = row.index;
+    for (const Item* p = begin; p != end && *p < index.limit(); ++p) {
+      const int64_t at = index.IndexOf(*p);
+      if (at >= 0) ++deltas[at];
+    }
+    return;
+  }
   const Item* const first = row.items.data();
   const Item* entry = first;
   const Item* const last = first + row.items.size();
   for (const Item* p = begin; p != end && entry != last; ++p) {
     entry = std::lower_bound(entry, last, *p);
-    if (entry != last && *entry == *p) fold(entry++ - first);
+    if (entry != last && *entry == *p) ++deltas[entry++ - first];
   }
 }
 
@@ -398,7 +439,43 @@ void ItemsetTrie::DropRetired(NodeId node) {
   const auto it = rows_.find(node);
   retired_live_ -= it->second.items.size();
   rows_.erase(it);
+  rows_numbered_ = false;
   nodes_[node].has_row = false;
+  UpdateLeafFlag(node);
+}
+
+size_t ItemsetTrie::NumberRetired() {
+  if (!rows_numbered_) {
+    DEMON_CHECK_MSG(retired_live_ <= std::numeric_limits<uint32_t>::max(),
+                    "too many retired entries to number");
+    uint32_t next = 0;
+    for (auto& [node, row] : rows_) {
+      row.first_delta = next;
+      next += static_cast<uint32_t>(row.items.size());
+    }
+    rows_numbered_ = true;
+  }
+  return retired_live_;
+}
+
+void ItemsetTrie::ApplyRetired(const uint32_t* deltas, int sign) {
+  DEMON_CHECK(sign == 1 || sign == -1);
+  DEMON_CHECK_MSG(rows_numbered_, "retired rows changed since the walk");
+  for (auto& [node, row] : rows_) {
+    const uint32_t* const delta = deltas + row.first_delta;
+    for (size_t i = 0; i < row.counts.size(); ++i) {
+      uint32_t& count = row.counts[i];
+      if (delta[i] == 0 || count == kRetiredCountUnknown) continue;
+      if (sign > 0) {
+        count = static_cast<uint32_t>(std::min<uint64_t>(
+            uint64_t{count} + delta[i], kRetiredCountUnknown));
+      } else {
+        DEMON_CHECK_MSG(count >= delta[i],
+                        "deletion underflows a retired count");
+        count -= delta[i];
+      }
+    }
+  }
 }
 
 void ItemsetTrie::SetFrequent(NodeId node, bool frequent) {
@@ -436,6 +513,7 @@ size_t ItemsetTrie::ArenaBytes() const {
          entries_.capacity() * sizeof(Entry) +
          child_items_.capacity() * sizeof(Item) +
          child_nodes_.capacity() * sizeof(NodeId) +
+         child_leaf_.capacity() * sizeof(uint8_t) +
          level1_.capacity() * sizeof(NodeId) +
          free_nodes_.capacity() * sizeof(NodeId);
 }
@@ -580,17 +658,48 @@ void ItemsetTrie::AuditInto(audit::AuditResult* audit) const {
                            << " != recount " << frequent,
               "");
 
-  // Child bitmaps: only on wide nodes (within the release hysteresis),
-  // holding exactly the child items, ranked to their edge slots.
+  // Edge blocks: the blocks of live and free nodes and the holes tile the
+  // pool, each slot in exactly one of them.
+  std::vector<uint8_t> owners(child_items_.size(), 0);
+  bool tiled = true;
+  const auto claim = [&](size_t begin, size_t capacity) {
+    if (begin + capacity > owners.size()) {
+      tiled = false;
+      return;
+    }
+    for (size_t e = begin; e < begin + capacity; ++e) tiled &= ++owners[e] == 1;
+  };
+  for (const Node& n : nodes_) claim(n.child_begin, n.child_capacity);
+  for (size_t b = 0; b < holes_.size(); ++b) {
+    for (const uint32_t hole : holes_[b]) claim(hole, size_t{1} << b);
+  }
+  tiled &= std::find(owners.begin(), owners.end(), 0) == owners.end();
+  AUDIT_CHECK(audit, kModule, "itemset-trie/edge-blocks", tiled,
+              audit::Msg() << "edge blocks and holes do not tile the "
+                           << child_items_.size() << "-slot pool",
+              "");
+
+  // Leaf flags: each edge slot's flag says whether its child has neither
+  // children nor a row. Child bitmaps: only on wide nodes (within the
+  // release hysteresis), holding exactly the child items, ranked to their
+  // edge slots.
   for (NodeId node = 1; node < nodes_.size(); ++node) {
     const Node& n = nodes_[node];
-    if (!reached[node] || n.probe == 0) continue;
+    if (!reached[node]) continue;
+    for (uint32_t e = n.child_begin; e < n.child_begin + n.child_count; ++e) {
+      const NodeId child = child_nodes_[e];
+      AUDIT_CHECK(audit, kModule, "itemset-trie/leaf-flag",
+                  child < nodes_.size() && child_leaf_[e] == IsLeaf(child),
+                  audit::Msg() << "edge " << e << " of node " << node
+                               << " flags child " << child << " as "
+                               << (child_leaf_[e] ? "" : "not ") << "a leaf",
+                  "");
+    }
+    if (n.probe == 0) continue;
     const RankBitmap& probe = probes_[n.probe - 1];
     AUDIT_CHECK(audit, kModule, "itemset-trie/child-bitmap",
-                WideEnough(2 * uint64_t{n.child_count}, probe.limit()) &&
-                    BitmapMatches(probe,
-                                  child_items_.data() + n.child_begin,
-                                  n.child_count),
+                BitmapFits(probe, child_items_.data() + n.child_begin,
+                           n.child_count),
                 audit::Msg() << "child bitmap of node " << node << " ("
                              << probe.limit() << " items) is too wide for "
                              << "or disagrees with its " << n.child_count
@@ -627,6 +736,14 @@ void ItemsetTrie::AuditInto(audit::AuditResult* audit) const {
     AUDIT_CHECK(audit, kModule, "itemset-trie/row-entries", sorted,
                 audit::Msg() << "retired row of " << ToString(owner)
                              << " is empty, unsorted or names an owner item",
+                "");
+    AUDIT_CHECK(audit, kModule, "itemset-trie/row-bitmap",
+                row.index.empty() ||
+                    BitmapFits(row.index, first, row.items.size()),
+                audit::Msg() << "bitmap of the retired row of "
+                             << ToString(owner) << " (" << row.index.limit()
+                             << " items) is too wide for or disagrees with "
+                             << "its " << row.items.size() << " entries",
                 "");
   }
   AUDIT_CHECK(audit, kModule, "itemset-trie/row-count",

@@ -39,17 +39,25 @@ struct ItemsetEntry {
 /// a member itemset; interior nodes may be untracked (arbitrary member
 /// sets are allowed), and every tracked node carries an ItemsetEntry.
 ///
-/// Churn. Erased nodes go on a free list and keep their edge block, so the
-/// slot and its capacity are reused by the next insert; a child block that
-/// outgrows its capacity moves to the end of the pool, and the pool is
-/// compacted once such holes outweigh the live blocks. Repeatedly
-/// inserting and erasing the same itemsets therefore never grows the arena.
+/// Leaf edges. Each edge slot also carries a flag set when its child has
+/// no children and no retired row; the counting walk counts such a child
+/// in place, without recursing into it or loading its Node. Every
+/// mutator keeps the flags exact, and AuditInto checks them.
+///
+/// Churn. Erased nodes go on a free list, and their edge blocks become
+/// holes. A child block that outgrows its capacity moves to a block of
+/// twice the capacity — a hole of that size, else a fresh one at the end
+/// of the pool — and its old block becomes a hole. Capacities are powers
+/// of two, so holes are reused exactly by size. Repeatedly inserting and
+/// erasing the same itemsets therefore never grows the arena.
 ///
 /// Retired rows. A tracked node may carry a row of *retired extensions*:
 /// exact supports of itemsets node ∪ {x} that BORDERS pruned from the
 /// border (flat sorted x and count arrays sized to the row, 8 bytes an
-/// entry, no trie node). The counting walk counts the transactions
-/// holding each entry, so the owner can keep the counts exact; a row is
+/// entry, no trie node; a dense row also keeps a rank bitmap). A counting
+/// walk never writes to the trie: it adds 1 to a caller-owned delta slot
+/// per entry held by a transaction (NumberRetired numbers the slots), and
+/// the owner applies the summed deltas once with ApplyRetired. A row is
 /// dropped when its node is untracked. Counts are 32-bit: an entry whose
 /// support reaches kRetiredCountUnknown is kept as unknown and never
 /// revived.
@@ -185,26 +193,24 @@ class ItemsetTrie {
     const auto& items = transaction.items();
     Entry* const entries = entries_.data();
     Walk(items.data(), items.data() + items.size(),
-         [entries, weight](NodeId n) { entries[n].count += weight; });
+         [entries, weight](NodeId n, bool) { entries[n].count += weight; });
   }
 
   /// The same walk adding 1 to `counts[node]` instead — the per-shard
-  /// delta arrays of parallel counting (`counts` spans node_capacity()).
+  /// count arrays of parallel counting (`counts` spans node_capacity()).
   /// Interior untracked nodes are counted too; their slots are ignored.
-  /// With a nonzero `retired_sign` (+1 when the transaction joins the
-  /// history, -1 when it leaves), also adds the sign to the count of
-  /// every retired-row entry node ∪ {x} the transaction contains. Those
-  /// updates are relaxed atomics, so concurrent walks over disjoint
-  /// transactions may share the trie.
+  /// With non-null `retired`, also adds 1 to `retired[i]` for every
+  /// retired-row entry node ∪ {x} the transaction contains, i being the
+  /// entry's number from the last NumberRetired(). The walk only reads
+  /// the trie, so concurrent walks with their own arrays may share it.
   void CountTransactionInto(const Item* begin, const Item* end,
-                            uint64_t* counts, int retired_sign = 0) const {
-    if (retired_sign == 0 || rows_.empty()) {
-      Walk(begin, end, [counts](NodeId n) { ++counts[n]; });
-      return;
-    }
-    Walk(begin, end, [&](NodeId n) {
+                            uint64_t* counts,
+                            uint32_t* retired = nullptr) const {
+    DEMON_CHECK(retired == nullptr || rows_numbered_);
+    Walk(begin, end, [this, begin, end, counts, retired](NodeId n,
+                                                         bool has_row) {
       ++counts[n];
-      if (nodes_[n].has_row) FoldRetired(n, begin, end, retired_sign);
+      if (has_row && retired != nullptr) FoldRetired(n, begin, end, retired);
     });
   }
 
@@ -230,6 +236,18 @@ class ItemsetTrie {
   /// Number of row entries over all nodes.
   size_t num_retired() const { return retired_live_; }
 
+  /// Numbers the row entries 0 .. num_retired() - 1 for the delta arrays
+  /// of CountTransactionInto and ApplyRetired (O(rows), and free when no
+  /// row changed since the last call); returns num_retired().
+  size_t NumberRetired();
+
+  /// Applies summed walk deltas (indexed as numbered by NumberRetired)
+  /// with `sign` (+1 when the walked transactions joined the history, -1
+  /// when they left it). An unknown count stays unknown, a count that
+  /// reaches kRetiredCountUnknown becomes unknown, and a deletion may not
+  /// take a count below zero.
+  void ApplyRetired(const uint32_t* deltas, int sign);
+
   /// Calls fn(node, item, count) for every row entry (count may be
   /// kRetiredCountUnknown).
   template <typename Fn>
@@ -244,9 +262,10 @@ class ItemsetTrie {
   /// Structural audit: parent/child links consistent, children strictly
   /// increasing, every live node reachable exactly once, free slots
   /// unreachable, the tracked/frequent running counts equal to a recount,
-  /// child bitmaps equal to their child blocks, and retired rows sorted,
-  /// owned by tracked nodes and disjoint from their itemsets. Appends
-  /// violations to `audit`.
+  /// leaf-edge flags equal to their children's shape, child and row
+  /// bitmaps equal to their items, and retired rows sorted, owned by
+  /// tracked nodes and disjoint from their itemsets. Appends violations
+  /// to `audit`.
   void AuditInto(audit::AuditResult* audit) const;
 
   // --- Map facade (cold paths) --------------------------------------------
@@ -368,14 +387,22 @@ class ItemsetTrie {
     /// Records that `item` joined (or left) the array; false when it lies
     /// past limit(), where only a Build can add it.
     bool Update(Item item, bool inserted);
+    /// Brings the bitmap of the `n` ascending `items` up to date after
+    /// `item` joined or left them, by the density rule (see WideEnough in
+    /// the .cc); false when the items are no longer wide enough for one.
+    bool Follow(const Item* items, size_t n, Item item, bool inserted);
   };
 
-  /// A node's retired-extension row: ascending extension items and their
-  /// counts. Counts are mutable: const counting walks keep them exact
-  /// (see CountTransactionInto), with atomic updates.
+  /// A node's retired-extension row: ascending extension items, their
+  /// counts, and — for a row as dense as a wide node's children — a rank
+  /// bitmap over the items, so a walk folds a transaction into it with
+  /// one bit test per item instead of a binary search.
   struct RetiredRow {
     std::vector<Item> items;
-    mutable std::vector<uint32_t> counts;
+    std::vector<uint32_t> counts;
+    RankBitmap index;
+    /// Delta-array number of items[0], set by NumberRetired().
+    uint32_t first_delta = 0;
   };
 
   /// The 1-itemset node of `item` (tracked or interior), or kNoNode.
@@ -392,24 +419,36 @@ class ItemsetTrie {
   NodeId ChildOrInsert(NodeId node, Item item);
   /// A free or fresh node slot under `parent`.
   NodeId AllocateNode(NodeId parent, Item item);
+  /// An edge-pool block of `capacity` (a power of two) slots: a hole of
+  /// that size, else fresh slots at the end of the pool.
+  uint32_t AllocateBlock(uint32_t capacity);
+  /// Turns the block at `begin` into a hole.
+  void FreeBlock(uint32_t begin, uint32_t capacity);
   void RemoveChild(NodeId parent, NodeId child);
-  /// Moves every edge block to the front of a fresh pool, dropping holes.
-  void CompactEdges();
+  /// True when the walk may count `node` in place: no children, no row.
+  bool IsLeaf(NodeId node) const {
+    return nodes_[node].child_count == 0 && !nodes_[node].has_row;
+  }
+  /// Refreshes the leaf flag of the edge to `node` after its children or
+  /// its row changed.
+  void UpdateLeafFlag(NodeId node);
   size_t CountFrequent() const;
   /// Builds, grows, updates or releases the child bitmap of `node` after
   /// its child `item` was inserted or removed.
   void UpdateProbe(NodeId node, Item item, bool inserted);
   void BuildProbe(NodeId node);
   void ReleaseProbe(NodeId node);
-  static bool BitmapMatches(const RankBitmap& bitmap, const Item* items,
-                            size_t n);
+  static bool BitmapFits(const RankBitmap& bitmap, const Item* items,
+                         size_t n);
 
-  /// Adds `sign` to the count of every entry of `node`'s row whose item
-  /// is in the sorted transaction [begin, end). A deletion never takes a
-  /// count below zero; an unknown count stays unknown.
+  /// Adds 1 to `retired[i]` for every entry i of `node`'s row whose item
+  /// is in the sorted transaction [begin, end).
   void FoldRetired(NodeId node, const Item* begin, const Item* end,
-                   int sign) const;
+                   uint32_t* retired) const;
 
+  /// Calls add(node, has_row) for every node whose itemset the sorted
+  /// transaction [begin, end) contains. Leaf children are counted from
+  /// their edge slot with has_row == false, without loading their Node.
   template <typename Add>
   void Walk(const Item* begin, const Item* end, Add add) const {
     const size_t level1 = level1_.size();
@@ -428,31 +467,36 @@ class ItemsetTrie {
   template <typename Add>
   void Descend(NodeId node, const Item* pos, const Item* end,
                Add& add) const {
-    add(node);
     const Node& n = nodes_[node];
+    add(node, n.has_row);
+    if (n.child_count == 0) return;
+    // The child at edge slot `e` matched an item; `rest` follows it.
+    const auto edge = [&](size_t e, const Item* rest) {
+      if (child_leaf_[e]) {
+        add(child_nodes_[e], false);
+      } else {
+        Descend(child_nodes_[e], rest, end, add);
+      }
+    };
     if (n.probe != 0) {
       // Wide node: one bit test per remaining item, and a popcount to
       // find the matching child's edge slot.
       const RankBitmap& probe = probes_[n.probe - 1];
-      const NodeId* const children = child_nodes_.data() + n.child_begin;
       for (; pos != end && *pos < probe.limit(); ++pos) {
         const int64_t at = probe.IndexOf(*pos);
-        if (at >= 0) Descend(children[at], pos + 1, end, add);
+        if (at >= 0) edge(n.child_begin + static_cast<size_t>(at), pos + 1);
       }
       return;
     }
-    const Item* child = child_items_.data() + n.child_begin;
+    const Item* const items = child_items_.data();
+    const Item* child = items + n.child_begin;
     const Item* const child_end = child + n.child_count;
     if (child_end - child > kProbeRatio * (end - pos)) {
       // Long child list, few items left: binary-search each item.
       for (; pos != end; ++pos) {
         child = std::lower_bound(child, child_end, *pos);
         if (child == child_end) return;
-        if (*child == *pos) {
-          Descend(child_nodes_[child - child_items_.data()], pos + 1, end,
-                  add);
-          ++child;
-        }
+        if (*child == *pos) edge(child++ - items, pos + 1);
       }
       return;
     }
@@ -464,9 +508,7 @@ class ItemsetTrie {
       } else if (*pos < *child) {
         ++pos;
       } else {
-        Descend(child_nodes_[child - child_items_.data()], pos + 1, end, add);
-        ++child;
-        ++pos;
+        edge(child++ - items, ++pos);
       }
     }
   }
@@ -488,22 +530,26 @@ class ItemsetTrie {
   /// Parallel to nodes_. Counts are meaningful for tracked nodes only;
   /// untracked nodes always keep frequent == false (IsFrequentNode).
   std::vector<Entry> entries_;
-  /// The edge pool: child items (the counting walk's merge array) and the
-  /// matching child node ids.
+  /// The edge pool: child items (the counting walk's merge array), the
+  /// matching child node ids, and each child's leaf flag (IsLeaf).
   std::vector<Item> child_items_;
   std::vector<NodeId> child_nodes_;
+  std::vector<uint8_t> child_leaf_;
   /// Root children: item -> node.
   std::vector<NodeId> level1_;
   std::vector<NodeId> free_nodes_;
   /// Child bitmaps of the wide nodes (Node::probe), with free slots.
   std::vector<RankBitmap> probes_;
   std::vector<uint16_t> free_probes_;
+  /// Edge-pool holes (the old blocks of relocated or erased nodes) by
+  /// capacity: holes_[b] holds the first slots of free blocks of 2^b
+  /// slots (every block capacity is a power of two).
+  std::vector<std::vector<uint32_t>> holes_;
   /// Retired rows by owning node, and their total entry count.
   std::unordered_map<NodeId, RetiredRow> rows_;
   size_t retired_live_ = 0;
-  /// Edge-pool slots inside some live block (sum of capacities); the rest
-  /// of the pool is holes left by relocated blocks.
-  size_t edges_in_blocks_ = 0;
+  /// Every row's first_delta is current (see NumberRetired).
+  bool rows_numbered_ = true;
   size_t num_tracked_ = 0;
   size_t num_frequent_ = 0;
   bool frequent_stale_ = false;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <utility>
 
 #include "common/random.h"
 #include "datagen/quest_generator.h"
@@ -260,6 +262,62 @@ TEST(CountingContextTest, BordersMaintainerWithPoolMatchesWithout) {
       EXPECT_EQ(it->second.count, entry.count) << ToString(itemset);
       EXPECT_EQ(it->second.frequent, entry.frequent) << ToString(itemset);
     }
+  }
+}
+
+// Retired-row hits are collected per shard and applied once after the
+// barrier: walking a model's blocks in and out again on 1 to 8 threads
+// leaves node counts and every retired count bit-identical to the
+// sequential walk, and the way out restores the counts the model began
+// with.
+TEST(CountingContextTest, PtScanNodesRetiredCountsMatchAcrossThreadCounts) {
+  const Fixture fixture = MakeFixture(6, 600, 40, 33);
+  BordersOptions options;
+  options.minsup = 0.02;
+  options.num_items = fixture.num_items;
+  options.strategy = CountingStrategy::kPtScan;
+  BordersMaintainer maintainer(options);
+  for (const auto& block : fixture.blocks) maintainer.AddBlock(block);
+  const ItemsetTrie& model = maintainer.model().entries();
+  ASSERT_GT(model.num_retired(), 50u);
+
+  using RetiredCounts = std::map<std::pair<ItemsetTrie::NodeId, Item>,
+                                 uint64_t>;
+  const auto retired_counts = [](const ItemsetTrie& trie) {
+    RetiredCounts counts;
+    trie.ForEachRetired([&](ItemsetTrie::NodeId node, Item item,
+                            uint64_t count) { counts[{node, item}] = count; });
+    return counts;
+  };
+  struct Walks {
+    std::vector<uint64_t> in_counts;
+    RetiredCounts in_retired;
+    std::vector<uint64_t> out_counts;
+    RetiredCounts out_retired;
+  };
+  const auto walk = [&](CountingContext* context) {
+    ItemsetTrie trie = model;
+    Walks walks;
+    walks.in_counts = context->PtScanNodes(&trie, fixture.blocks, +1);
+    walks.in_retired = retired_counts(trie);
+    walks.out_counts = context->PtScanNodes(&trie, fixture.blocks, -1);
+    walks.out_retired = retired_counts(trie);
+    return walks;
+  };
+
+  CountingContext sequential;
+  const Walks expected = walk(&sequential);
+  EXPECT_EQ(expected.out_retired, retired_counts(model));
+  EXPECT_NE(expected.in_retired, expected.out_retired);
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    CountingContext context(&pool);
+    const Walks got = walk(&context);
+    EXPECT_EQ(got.in_counts, expected.in_counts);
+    EXPECT_EQ(got.in_retired, expected.in_retired);
+    EXPECT_EQ(got.out_counts, expected.out_counts);
+    EXPECT_EQ(got.out_retired, expected.out_retired);
   }
 }
 

@@ -481,6 +481,21 @@ TEST(ItemsetTrieTest, FarChildOfAWideNodeReleasesItsBitmap) {
   check();
 }
 
+// One detection walk over `transactions`: node counts into a scratch
+// array, retired hits into a fresh delta array, which is then applied to
+// the rows with `sign`.
+void WalkRetired(ItemsetTrie* trie,
+                 const std::vector<Transaction>& transactions, int sign) {
+  std::vector<uint64_t> counts(trie->node_capacity(), 0);
+  std::vector<uint32_t> deltas(trie->NumberRetired(), 0);
+  for (const Transaction& t : transactions) {
+    trie->CountTransactionInto(t.items().data(),
+                               t.items().data() + t.items().size(),
+                               counts.data(), deltas.data());
+  }
+  trie->ApplyRetired(deltas.data(), sign);
+}
+
 // A retired row counts, through the walk, every transaction holding its
 // node's itemset and the entry's item; entries leave with TakeRetired or
 // with their node.
@@ -502,15 +517,7 @@ TEST(ItemsetTrieTest, RetiredRowsCountContainedExtensions) {
 
   const std::vector<Transaction> transactions = {
       {0, 1, 2}, {1, 3, 4, 7}, {0, 2, 3, 4}, {1, 4, 5}};
-  std::vector<uint64_t> counts(trie.node_capacity(), 0);
-  const auto walk = [&](int sign) {
-    for (const Transaction& t : transactions) {
-      trie.CountTransactionInto(t.items().data(),
-                                t.items().data() + t.items().size(),
-                                counts.data(), sign);
-    }
-  };
-  walk(+1);
+  WalkRetired(&trie, transactions, +1);
   std::map<Itemset, uint64_t> retired;
   trie.ForEachRetired([&](NodeId node, Item item, uint64_t count) {
     Itemset itemset;
@@ -530,7 +537,7 @@ TEST(ItemsetTrieTest, RetiredRowsCountContainedExtensions) {
 
   // Walking the same transactions out again (a block deletion) restores
   // the retired counts.
-  walk(-1);
+  WalkRetired(&trie, transactions, -1);
   uint64_t total = 0;
   trie.ForEachRetired([&](NodeId, Item, uint64_t c) { total += c; });
   EXPECT_EQ(total, 5u + 6 + 7 + 8 + 1);
@@ -559,15 +566,9 @@ TEST(ItemsetTrieTest, RetiredCountsPastThirtyTwoBitsBecomeUnknown) {
   const uint64_t counts[] = {uint64_t{1} << 32,
                              ItemsetTrie::kRetiredCountUnknown - 1, 9};
   trie.Retire(a, items, counts, 3);
-  const Transaction t = {1, 2, 3, 4};
-  std::vector<uint64_t> node_counts(trie.node_capacity(), 0);
-  const auto walk = [&](int sign) {
-    trie.CountTransactionInto(t.items().data(),
-                              t.items().data() + t.items().size(),
-                              node_counts.data(), sign);
-  };
-  walk(+1);  // {1,3} reaches the limit
-  walk(-1);  // unknown stays unknown
+  const std::vector<Transaction> transactions = {{1, 2, 3, 4}};
+  WalkRetired(&trie, transactions, +1);  // {1,3} reaches the limit
+  WalkRetired(&trie, transactions, -1);  // unknown stays unknown
 
   uint64_t count = 0;
   EXPECT_FALSE(trie.TakeRetired(a, 2, &count));
@@ -577,7 +578,39 @@ TEST(ItemsetTrieTest, RetiredCountsPastThirtyTwoBitsBecomeUnknown) {
   EXPECT_EQ(trie.num_retired(), 0u);
 }
 
-// A long row, folded by one merge per walk, counts like brute force
+// Parallel counting gives each shard its own delta array and applies the
+// sum once: an entry that no single shard's delta takes to the limit
+// still becomes unknown when the summed deltas do.
+TEST(ItemsetTrieTest, SummedShardDeltasCrossingTheLimitBecomeUnknown) {
+  ItemsetTrie trie;
+  const NodeId a = trie.Insert({1}, {0, true});
+  const Item items[] = {2, 3};
+  const uint64_t counts[] = {ItemsetTrie::kRetiredCountUnknown - 3, 7};
+  trie.Retire(a, items, counts, 2);
+  const std::vector<Transaction> shard_transactions[] = {
+      {{1, 2, 3}, {1, 2}}, {{1, 2}, {1, 2, 3}}};
+  std::vector<uint32_t> summed(trie.NumberRetired(), 0);
+  for (const auto& transactions : shard_transactions) {
+    std::vector<uint64_t> node_counts(trie.node_capacity(), 0);
+    std::vector<uint32_t> deltas(trie.NumberRetired(), 0);
+    for (const Transaction& t : transactions) {
+      trie.CountTransactionInto(t.items().data(),
+                                t.items().data() + t.items().size(),
+                                node_counts.data(), deltas.data());
+    }
+    EXPECT_EQ(node_counts[a], 2u);
+    // Alone, each shard's 2 would leave {1,2} one below the limit.
+    for (size_t i = 0; i < deltas.size(); ++i) summed[i] += deltas[i];
+  }
+  trie.ApplyRetired(summed.data(), +1);
+
+  uint64_t count = 0;
+  EXPECT_FALSE(trie.TakeRetired(a, 2, &count));  // unknown
+  EXPECT_TRUE(trie.TakeRetired(a, 3, &count));
+  EXPECT_EQ(count, 7u + 2);
+}
+
+// A long row, dense enough for a rank bitmap, counts like brute force
 // while entries are taken until it is gone.
 TEST(ItemsetTrieTest, LongRetiredRowsCountLikeBruteForce) {
   Rng rng(21);
@@ -595,7 +628,6 @@ TEST(ItemsetTrieTest, LongRetiredRowsCountLikeBruteForce) {
   trie.Retire(owner, items.data(), counts.data(), items.size());
 
   const auto fold_and_check = [&]() {
-    std::vector<uint64_t> node_counts(trie.node_capacity(), 0);
     std::vector<Transaction> transactions;
     for (int t = 0; t < 200; ++t) {
       std::vector<Item> txn = {1, 3};
@@ -607,10 +639,8 @@ TEST(ItemsetTrieTest, LongRetiredRowsCountLikeBruteForce) {
       txn.erase(std::unique(txn.begin(), txn.end()), txn.end());
       transactions.push_back(Transaction(std::move(txn)));
     }
+    WalkRetired(&trie, transactions, +1);
     for (const Transaction& t : transactions) {
-      trie.CountTransactionInto(t.items().data(),
-                                t.items().data() + t.items().size(),
-                                node_counts.data(), +1);
       if (!t.Contains(1) || !t.Contains(3)) continue;
       for (auto& [x, count] : expected) count += t.Contains(x) ? 1 : 0;
     }
@@ -637,6 +667,119 @@ TEST(ItemsetTrieTest, LongRetiredRowsCountLikeBruteForce) {
     if (expected.size() % 25 == 0) fold_and_check();
   }
   EXPECT_EQ(trie.num_retired(), 0u);
+}
+
+// Random churn through every mutator that changes a node's children or
+// row — Insert, Erase, Retire, TakeRetired, DropRetired — with child
+// blocks relocating as they grow and nodes and rows crossing the wide
+// thresholds. After every step the audit (which checks each edge's leaf
+// flag and each bitmap) is clean, and one walk's node counts and applied
+// retired deltas equal a brute-force count.
+TEST(ItemsetTrieTest, LeafEdgeFlagsFollowChurn) {
+  constexpr size_t kUniverse = 40;
+  Rng rng(1806);
+  std::vector<Transaction> transactions;
+  for (int t = 0; t < 24; ++t) {
+    std::vector<Item> items;
+    for (Item item = 0; item < kUniverse; ++item) {
+      if (rng.NextBernoulli(0.3)) items.push_back(item);
+    }
+    transactions.push_back(Transaction(std::move(items)));
+  }
+  const TransactionBlock block(transactions, 0);
+
+  ItemsetTrie trie;
+  std::set<Itemset> members;
+  // Row entries by owner itemset: extension item -> count.
+  std::map<Itemset, std::map<Item, uint64_t>> rows;
+  const auto random_member = [&]() {
+    return *std::next(members.begin(), rng.NextUint64(members.size()));
+  };
+  const size_t arena_before = trie.ArenaBytes();
+  for (int step = 0; step < 1500; ++step) {
+    const uint64_t op = rng.NextUint64(20);
+    if (op < 8 || members.empty()) {
+      const Itemset itemset = RandomItemset(&rng, 4, kUniverse);
+      trie.Insert(itemset);
+      members.insert(itemset);
+    } else if (op < 12) {
+      const Itemset victim = random_member();
+      trie.Erase(trie.Find(victim));
+      members.erase(victim);
+      rows.erase(victim);
+    } else if (op < 15) {
+      const Itemset owner = random_member();
+      std::map<Item, uint64_t>& row = rows[owner];
+      std::vector<Item> items;
+      std::vector<uint64_t> counts;
+      const size_t wanted = 1 + rng.NextUint64(20);
+      for (Item x = 0; x < kUniverse && items.size() < wanted; ++x) {
+        if (std::binary_search(owner.begin(), owner.end(), x) ||
+            row.count(x) > 0 || !rng.NextBernoulli(0.5)) {
+          continue;
+        }
+        items.push_back(x);
+        counts.push_back(100 + rng.NextUint64(1000));
+        row[x] = counts.back();
+      }
+      trie.Retire(trie.Find(owner), items.data(), counts.data(),
+                  items.size());
+      if (row.empty()) rows.erase(owner);
+    } else if (op < 18) {
+      const Itemset owner = random_member();
+      const Item item = static_cast<Item>(rng.NextUint64(kUniverse));
+      uint64_t count = 0;
+      const auto row = rows.find(owner);
+      const bool held = row != rows.end() && row->second.count(item) > 0;
+      ASSERT_EQ(trie.TakeRetired(trie.Find(owner), item, &count), held);
+      if (held) {
+        EXPECT_EQ(count, row->second[item]);
+        row->second.erase(item);
+        if (row->second.empty()) rows.erase(row);
+      }
+    } else {
+      const Itemset owner = random_member();
+      trie.DropRetired(trie.Find(owner));
+      rows.erase(owner);
+    }
+
+    audit::AuditResult audit;
+    trie.AuditInto(&audit);
+    ASSERT_TRUE(audit.ok()) << "step " << step << ": " << audit.ToString();
+
+    // Alternate the walk's sign so the counts stay near where they began.
+    const int sign = step % 2 == 0 ? +1 : -1;
+    std::vector<uint64_t> counts(trie.node_capacity(), 0);
+    std::vector<uint32_t> deltas(trie.NumberRetired(), 0);
+    for (const Transaction& t : transactions) {
+      trie.CountTransactionInto(t.items().data(),
+                                t.items().data() + t.items().size(),
+                                counts.data(), deltas.data());
+    }
+    trie.ApplyRetired(deltas.data(), sign);
+    for (const Itemset& itemset : members) {
+      ASSERT_EQ(counts[trie.Find(itemset)], BruteForceCount(itemset, block))
+          << "step " << step << ": " << ToString(itemset);
+    }
+    for (auto& [owner, row] : rows) {
+      for (auto& [x, count] : row) {
+        Itemset extension = owner;
+        extension.insert(
+            std::upper_bound(extension.begin(), extension.end(), x), x);
+        const uint64_t support = BruteForceCount(extension, block);
+        count = sign > 0 ? count + support : count - support;
+      }
+    }
+    std::map<Itemset, std::map<Item, uint64_t>> actual;
+    trie.ForEachRetired([&](NodeId node, Item item, uint64_t count) {
+      Itemset owner;
+      trie.ItemsetOf(node, &owner);
+      actual[owner][item] = count;
+    });
+    ASSERT_EQ(actual, rows) << "step " << step;
+  }
+  EXPECT_GT(members.size(), 100u);
+  EXPECT_GT(trie.ArenaBytes(), arena_before);  // blocks relocated
 }
 
 }  // namespace

@@ -81,7 +81,7 @@ void BM_PrefixTreeCount(benchmark::State& state) {
     tree.Insert(itemset);
   }
   for (auto _ : state) {
-    for (const Transaction& t : block.transactions()) {
+    for (const TransactionView t : block) {
       tree.CountTransaction(t);
     }
   }
@@ -115,7 +115,7 @@ void BM_HashTreeCount(benchmark::State& state) {
     tree.Insert(itemset);
   }
   for (auto _ : state) {
-    for (const Transaction& t : block.transactions()) {
+    for (const TransactionView t : block) {
       tree.CountTransaction(t);
     }
   }

@@ -77,8 +77,8 @@ size_t InferNumItems(
     const std::vector<std::shared_ptr<const TransactionBlock>>& blocks) {
   Item max_item = 0;
   for (const auto& block : blocks) {
-    for (const Transaction& t : block->transactions()) {
-      for (Item item : t.items()) max_item = std::max(max_item, item);
+    for (const TransactionView t : *block) {
+      if (!t.empty()) max_item = std::max(max_item, t.back());
     }
   }
   return static_cast<size_t>(max_item) + 1;

@@ -51,6 +51,12 @@ Checks enforced (all are CI-blocking):
                  `ftruncate`, `mmap(`, <fstream>) in src/ or examples/
                  outside src/persistence/file.{h,cc}, the one module that
                  handles short writes, EINTR and errno-to-Status mapping.
+  materialized-block
+                 A call to `transactions()` in src/ or examples/. That
+                 accessor copies a whole TransactionBlock into one vector
+                 per record; library code reads records through
+                 TransactionViews (iterate the block, or `block[k]`).
+                 tests/ and bench/ may materialize.
 
 Suppress a finding with `// lint:allow(<check>)` on the offending line.
 
@@ -112,6 +118,9 @@ RAW_FILE_IO_RE = re.compile(
     r"|\bstd::[io]?fstream\b"
 )
 RAW_FILE_IO_HOME = ("src/persistence/file.h", "src/persistence/file.cc")
+# Member calls of the materializing TransactionBlock::transactions();
+# `num_transactions()` and other longer names never match.
+MATERIALIZED_BLOCK_RE = re.compile(r"(?:\.|->)\s*transactions\s*\(\s*\)")
 
 
 def strip_comments_and_strings(line, in_block_comment):
@@ -245,6 +254,12 @@ def lint_file(path, root, findings):
             report(lineno, "raw-file-io",
                    "raw file I/O outside src/persistence/file.{h,cc}; use "
                    "persistence::WriteFile / ReadFile / File")
+        if (MATERIALIZED_BLOCK_RE.search(code)
+                and path.relative_to(root).parts[0] in ("src", "examples")):
+            report(lineno, "materialized-block",
+                   "TransactionBlock::transactions() copies the block into "
+                   "one vector per record; read records through "
+                   "TransactionView (iterate the block or use block[k])")
         if (path.suffix in HEADER_EXT
                 and NODISCARD_DECL_RE.match(code)
                 and "[[nodiscard]]" not in code_lines[max(0, lineno - 2)]
@@ -375,6 +390,26 @@ SELF_TEST_CASES = [
      []),
     ("raw-file-io leaves tests alone", "tests/y_test.cc",
      "void F(const char* p) {\n  std::FILE* f = std::fopen(p, \"rb\");\n}\n",
+     []),
+    ("materialized-block fires in src", "src/core/z.cc",
+     "size_t F(const TransactionBlock& block) {\n"
+     "  return block.transactions().size();\n}\n",
+     ["materialized-block"]),
+    ("materialized-block fires through a pointer in examples",
+     "examples/w.cpp",
+     "void F(const BlockPtr& block) {\n"
+     "  for (const Transaction& t : block->transactions()) Use(t);\n}\n",
+     ["materialized-block"]),
+    ("materialized-block respects lint:allow; views and counts are clean",
+     "src/core/aa.cc",
+     "void F(const TransactionBlock& block, const TidLists& lists) {\n"
+     "  Use(block.transactions());  // lint:allow(materialized-block)\n"
+     "  for (const TransactionView t : block) Use(t);\n"
+     "  Use(lists.num_transactions());\n}\n",
+     []),
+    ("materialized-block leaves tests and bench alone", "tests/ab_test.cc",
+     "void F(const TransactionBlock& block) {\n"
+     "  Use(block.transactions());\n}\n",
      []),
     ("clean file stays clean", "src/core/l.cc",
      "void F() {}\n",

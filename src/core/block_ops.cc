@@ -9,19 +9,30 @@ namespace demon {
 TransactionBlock MergeBlocks(
     const std::vector<const TransactionBlock*>& blocks) {
   DEMON_CHECK(!blocks.empty());
-  std::vector<Transaction> transactions;
-  size_t total = 0;
-  for (const TransactionBlock* block : blocks) total += block->size();
-  transactions.reserve(total);
+  // Concatenate the flat arrays, shifting each block's record ends by the
+  // item slots before it.
+  size_t records = 0;
+  size_t slots = 0;
+  for (const TransactionBlock* block : blocks) {
+    records += block->size();
+    slots += block->TotalItemOccurrences();
+  }
+  DEMON_CHECK_MSG(slots <= TransactionBlock::kMaxItemSlots,
+                  "merged block too large for 32-bit record offsets");
+  std::vector<Item> items;
+  items.reserve(slots);
+  std::vector<uint32_t> ends;
+  ends.reserve(records);
   int64_t start_time = blocks.front()->info().start_time;
   int64_t end_time = blocks.front()->info().end_time;
   for (const TransactionBlock* block : blocks) {
-    transactions.insert(transactions.end(), block->transactions().begin(),
-                        block->transactions().end());
+    const uint32_t shift = static_cast<uint32_t>(items.size());
+    items.insert(items.end(), block->items().begin(), block->items().end());
+    for (const uint32_t end : block->ends()) ends.push_back(shift + end);
     start_time = std::min(start_time, block->info().start_time);
     end_time = std::max(end_time, block->info().end_time);
   }
-  TransactionBlock merged(std::move(transactions),
+  TransactionBlock merged(std::move(items), std::move(ends),
                           blocks.front()->first_tid());
   merged.mutable_info()->start_time = start_time;
   merged.mutable_info()->end_time = end_time;

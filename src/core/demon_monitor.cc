@@ -15,11 +15,11 @@ constexpr uint32_t kCheckpointVersion = 2;
 /// Maintainers index per-item arrays by a block's items, so a decoded block
 /// naming an item outside the universe is corruption, not a caller bug.
 Status CheckItemUniverse(const TransactionBlock& block, size_t num_items) {
-  for (const Transaction& t : block.transactions()) {
-    if (!t.empty() && t.items().back() >= num_items) {
+  for (const TransactionView t : block) {
+    if (!t.empty() && t.back() >= num_items) {
       return Status::DataLoss("transaction block " +
                               std::to_string(block.info().id) + " holds item " +
-                              std::to_string(t.items().back()) +
+                              std::to_string(t.back()) +
                               " outside the universe of " +
                               std::to_string(num_items));
     }

@@ -66,11 +66,14 @@ struct MonitorStats {
   double last_response_seconds = 0.0;
   double last_offline_seconds = 0.0;
 
-  /// CPU time (per-thread clock) next to the wall times above. Under
-  /// time-slicing on few cores the wall times of concurrent monitors
-  /// overlap and their sum inflates past real compute; the CPU times
-  /// still add up to the cores' capacity, so use these to compare
-  /// monitor cost on loaded machines.
+  /// CPU time next to the wall times above, read from the CPU clock of
+  /// the thread that ran the monitor's task. Under time-slicing on few
+  /// cores the wall times of concurrent monitors overlap and their sum
+  /// inflates past real compute, which these do not. But they cover that
+  /// one thread only: work the task hands to pool helpers — counting
+  /// shards, GEMM's concurrent window drain — runs on other threads'
+  /// clocks and is not counted, so these understate a monitor that
+  /// fans out, and the monitors' sum does not add up to process CPU.
   double response_cpu_seconds = 0.0;
   double offline_cpu_seconds = 0.0;
   double last_response_cpu_seconds = 0.0;
@@ -110,6 +113,10 @@ struct BlockTimelineRecord {
   uint64_t t_ns = 0;   ///< NowNanos() when the dispatch began.
   size_t records = 0;  ///< Records in the block.
 
+  /// Per routed monitor. The `*_cpu_seconds` fields read the CPU clock of
+  /// the thread that ran the monitor's task only, excluding the counting
+  /// shards and GEMM window drains it hands to pool helpers (see
+  /// MonitorStats).
   struct MonitorRow {
     std::string name;
     double response_seconds = 0.0;

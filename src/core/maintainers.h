@@ -211,7 +211,7 @@ class BordersAdapter : public ModelMaintainer {
     maintainer_.set_telemetry(registry);
   }
   void AddResponse(const AnyBlock& block) override {
-    maintainer_.AddBlock(block.transactions());
+    maintainer_.AddBlock(block.transaction_block());
     tracker_.Observe(maintainer_.model().FrequentItemsets(), &evolution_);
     evolution_.aux = static_cast<double>(maintainer_.model().NumBorder());
     evolution_.aux_name = "negative_border";
@@ -272,7 +272,7 @@ class GemmItemsetAdapter : public ModelMaintainer {
     gemm_.set_telemetry(registry);
   }
   void AddResponse(const AnyBlock& block) override {
-    gemm_.BeginBlock(block.transactions());
+    gemm_.BeginBlock(block.transaction_block());
     // The user-visible model is whatever window is current *after* the
     // block (a window slide swaps model objects; identity is by itemset
     // contents, so the diff still describes what an observer sees).
@@ -506,7 +506,7 @@ class PatternAdapter : public ModelMaintainer {
     miner_.set_telemetry(registry);
   }
   void AddResponse(const AnyBlock& block) override {
-    miner_.AddBlock(block.transactions());
+    miner_.AddBlock(block.transaction_block());
     tracker_.Observe(miner_.sequences(), &evolution_);
   }
   EvolutionStats DescribeEvolution() const override { return evolution_; }

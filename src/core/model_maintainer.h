@@ -65,7 +65,7 @@ class AnyBlock {
   }
 
   /// Typed views; each requires the matching payload.
-  const TxPtr& transactions() const { return std::get<TxPtr>(block_); }
+  const TxPtr& transaction_block() const { return std::get<TxPtr>(block_); }
   const PointPtr& points() const { return std::get<PointPtr>(block_); }
   const LabeledPtr& labeled() const { return std::get<LabeledPtr>(block_); }
 

@@ -21,9 +21,9 @@ Status TransactionFile::Write(const TransactionBlock& block,
   persistence::FileHeader::Append(w, persistence::FormatId::kTransactionFile,
                                   kTransactionFileVersion);
   w.WriteU64(block.size());
-  for (const Transaction& t : block.transactions()) {
+  for (const TransactionView t : block) {
     w.WriteU32(static_cast<uint32_t>(t.size()));
-    w.AppendRaw(t.items().data(), t.size() * sizeof(Item));
+    w.AppendRaw(t.data(), t.size() * sizeof(Item));
   }
   return persistence::WriteFile(path, {w.buffer()});
 }
@@ -31,11 +31,25 @@ Status TransactionFile::Write(const TransactionBlock& block,
 Result<TransactionBlock> TransactionFile::Read(const std::string& path,
                                                Tid first_tid) {
   DEMON_ASSIGN_OR_RETURN(auto scanner, TransactionFileScanner::Open(path));
-  std::vector<Transaction> transactions;
-  transactions.reserve(scanner->num_transactions());
-  DEMON_RETURN_NOT_OK(scanner->Scan(
-      [&transactions](const Transaction& t) { transactions.push_back(t); }));
-  return TransactionBlock(std::move(transactions), first_tid);
+  // Open bounded the record count by the file's size.
+  std::vector<uint32_t> ends;
+  ends.reserve(scanner->num_transactions());
+  std::vector<Item> items;
+  bool too_large = false;
+  DEMON_RETURN_NOT_OK(scanner->Scan([&](TransactionView t) {
+    if (too_large ||
+        items.size() + t.size() > TransactionBlock::kMaxItemSlots) {
+      too_large = true;
+      return;
+    }
+    items.insert(items.end(), t.begin(), t.end());
+    ends.push_back(static_cast<uint32_t>(items.size()));
+  }));
+  if (too_large) {
+    return Status::DataLoss(path + ": transaction block exceeds 32-bit " +
+                            "record offsets");
+  }
+  return TransactionBlock(std::move(items), std::move(ends), first_tid);
 }
 
 Result<std::unique_ptr<TransactionFileScanner>> TransactionFileScanner::Open(
@@ -63,18 +77,21 @@ void TransactionFileScanner::Rewind() {
   position_ = 0;
 }
 
-Result<bool> TransactionFileScanner::Next(Transaction* out) {
+Result<bool> TransactionFileScanner::Next(TransactionView* out) {
   if (position_ >= num_transactions_) return false;
   const uint32_t length = reader_.ReadU32();
+  // ReadBytes checks the length against the bytes left before anything
+  // is sized by it.
   const std::string_view items_bytes =
       reader_.ReadBytes(static_cast<size_t>(length) * sizeof(Item));
   DEMON_RETURN_NOT_OK(reader_.status());
-  std::vector<Item> items(length);
+  record_.resize(length);
   if (length > 0) {
-    std::memcpy(items.data(), items_bytes.data(), items_bytes.size());
+    std::memcpy(record_.data(), items_bytes.data(), items_bytes.size());
   }
   bytes_read_ += sizeof(length) + items_bytes.size();
-  *out = Transaction(std::move(items));
+  Item* const first = record_.data();
+  *out = TransactionView(first, NormalizeItems(first, first + length));
   ++position_;
   return true;
 }

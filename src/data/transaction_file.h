@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "data/block.h"
@@ -36,12 +37,13 @@ class TransactionFileScanner {
   [[nodiscard]] static Result<std::unique_ptr<TransactionFileScanner>> Open(
       const std::string& path);
 
-  /// Calls `fn(transaction)` for every transaction, in file order. May be
-  /// called repeatedly (rewinds first).
+  /// Calls `fn(view)` with a TransactionView of every transaction, in
+  /// file order; the view is valid until `fn` returns. May be called
+  /// repeatedly (rewinds first).
   template <typename Fn>
   [[nodiscard]] Status Scan(Fn&& fn) {
     Rewind();
-    Transaction transaction;
+    TransactionView transaction;
     for (;;) {
       DEMON_ASSIGN_OR_RETURN(const bool more, Next(&transaction));
       if (!more) break;
@@ -57,10 +59,13 @@ class TransactionFileScanner {
   TransactionFileScanner() = default;
 
   void Rewind();
-  /// Reads the next transaction; false when the file is exhausted.
-  [[nodiscard]] Result<bool> Next(Transaction* out);
+  /// Decodes the next transaction into `record_` (normalized) and views
+  /// it; false when the file is exhausted.
+  [[nodiscard]] Result<bool> Next(TransactionView* out);
 
   std::string bytes_;
+  /// The record being visited, reused across records.
+  std::vector<Item> record_;
   /// Positioned at the next transaction of the current scan.
   persistence::Reader reader_{nullptr, 0};
   size_t num_transactions_ = 0;

@@ -135,10 +135,15 @@ Transaction QuestGenerator::NextTransaction() {
 }
 
 TransactionBlock QuestGenerator::NextBlock(size_t n, Tid first_tid) {
-  std::vector<Transaction> transactions;
-  transactions.reserve(n);
-  for (size_t i = 0; i < n; ++i) transactions.push_back(NextTransaction());
-  return TransactionBlock(std::move(transactions), first_tid);
+  std::vector<Item> items;
+  std::vector<uint32_t> ends;
+  ends.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Transaction t = NextTransaction();
+    items.insert(items.end(), t.items().begin(), t.items().end());
+    ends.push_back(static_cast<uint32_t>(items.size()));
+  }
+  return TransactionBlock(std::move(items), std::move(ends), first_tid);
 }
 
 }  // namespace demon

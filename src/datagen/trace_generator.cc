@@ -191,17 +191,20 @@ std::vector<TransactionBlock> SegmentTrace(
     const int end_hour =
         std::min(hour + granularity_hours, TraceGenerator::kTraceEndHour);
     const int64_t end_time = static_cast<int64_t>(end_hour) * 3600;
-    std::vector<Transaction> transactions;
+    // Two items per request: its object type, then its size bucket
+    // (numbered after the types, so each record is already sorted).
+    std::vector<Item> items;
+    std::vector<uint32_t> ends;
     while (pos < trace.size() && trace[pos].timestamp < end_time) {
       const TraceRequest& request = trace[pos];
-      transactions.push_back(Transaction{
-          static_cast<Item>(request.object_type),
-          static_cast<Item>(TraceGenerator::kNumObjectTypes +
-                            request.size_bucket)});
+      items.push_back(static_cast<Item>(request.object_type));
+      items.push_back(static_cast<Item>(TraceGenerator::kNumObjectTypes +
+                                        request.size_bucket));
+      ends.push_back(static_cast<uint32_t>(items.size()));
       ++pos;
     }
-    const size_t block_size = transactions.size();
-    TransactionBlock block(std::move(transactions), next_tid);
+    const size_t block_size = ends.size();
+    TransactionBlock block(std::move(items), std::move(ends), next_tid);
     next_tid += block_size;
     block.mutable_info()->start_time = static_cast<int64_t>(hour) * 3600;
     block.mutable_info()->end_time = end_time;

@@ -166,17 +166,15 @@ const std::vector<uint64_t>& CountingContext::CountOnTrie(
     size_t offset = 0;
     for (const auto& block : blocks) {
       if (offset >= end) break;
-      const auto& transactions = block->transactions();
       const size_t lo = begin > offset ? begin - offset : 0;
-      const size_t hi = std::min(transactions.size(), end - offset);
+      const size_t hi = std::min(block->size(), end - offset);
       for (size_t i = lo; i < hi; ++i) {
-        const std::vector<Item>& items = transactions[i].items();
-        walked.CountTransactionInto(items.data(),
-                                    items.data() + items.size(), counts,
+        const TransactionView items = (*block)[i];
+        walked.CountTransactionInto(items.begin(), items.end(), counts,
                                     retired);
         if (collect_stats) touched += items.size();
       }
-      offset += transactions.size();
+      offset += block->size();
     }
     s.touched = touched;
   });
@@ -447,16 +445,15 @@ std::vector<uint64_t> CountingContext::CountItems(
     size_t offset = 0;
     for (const auto& block : blocks) {
       if (offset >= end) break;
-      const auto& transactions = block->transactions();
       const size_t lo = begin > offset ? begin - offset : 0;
-      const size_t hi = std::min(transactions.size(), end - offset);
+      const size_t hi = std::min(block->size(), end - offset);
       for (size_t i = lo; i < hi; ++i) {
-        for (Item item : transactions[i].items()) {
+        for (Item item : (*block)[i]) {
           DEMON_CHECK_MSG(item < num_items, "item outside universe");
           ++s.item_counts[item];
         }
       }
-      offset += transactions.size();
+      offset += block->size();
     }
   });
 

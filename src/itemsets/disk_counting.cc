@@ -19,7 +19,7 @@ Result<std::vector<uint64_t>> PtScanCountDisk(
   for (TransactionFileScanner* scanner : scanners) {
     const uint64_t before = scanner->bytes_read();
     DEMON_RETURN_NOT_OK(scanner->Scan(
-        [&trie](const Transaction& t) { trie.CountTransaction(t); }));
+        [&trie](TransactionView t) { trie.CountTransaction(t); }));
     if (stats != nullptr) {
       stats->slots_fetched += (scanner->bytes_read() - before) / sizeof(Item);
     }

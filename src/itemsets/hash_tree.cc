@@ -62,18 +62,17 @@ void HashTree::SplitLeaf(Node* node, size_t depth) {
   for (uint32_t id : entries) InsertAt(node, id, depth);
 }
 
-void HashTree::CountTransaction(const Transaction& transaction,
+void HashTree::CountTransaction(TransactionView transaction,
                                 uint64_t weight) {
   if (transaction.empty()) return;
   ++stamp_;
-  const auto& items = transaction.items();
-  CountRecursive(root_.get(), items.data(), items.data() + items.size(), 0,
+  CountRecursive(root_.get(), transaction.begin(), transaction.end(), 0,
                  transaction, weight);
 }
 
 void HashTree::CountRecursive(const Node* node, const Item* pos,
                               const Item* end, size_t depth,
-                              const Transaction& transaction,
+                              TransactionView transaction,
                               uint64_t weight) {
   // A transaction can reach the same node through several hash paths;
   // the per-transaction stamp prevents double counting.

@@ -32,7 +32,7 @@ class HashTree {
   size_t NumItemsets() const { return counts_.size(); }
 
   /// Adds `weight` to every inserted itemset contained in `transaction`.
-  void CountTransaction(const Transaction& transaction, uint64_t weight = 1);
+  void CountTransaction(TransactionView transaction, uint64_t weight = 1);
 
   uint64_t CountOf(size_t id) const { return counts_[id]; }
 
@@ -52,7 +52,7 @@ class HashTree {
   void InsertAt(Node* node, uint32_t id, size_t depth);
   void SplitLeaf(Node* node, size_t depth);
   void CountRecursive(const Node* node, const Item* pos, const Item* end,
-                      size_t depth, const Transaction& transaction,
+                      size_t depth, TransactionView transaction,
                       uint64_t weight);
 
   size_t fanout_;

@@ -189,10 +189,9 @@ class ItemsetTrie {
 
   /// Adds `weight` to the entry count of every tracked itemset contained
   /// in the (sorted) transaction.
-  void CountTransaction(const Transaction& transaction, uint64_t weight = 1) {
-    const auto& items = transaction.items();
+  void CountTransaction(TransactionView transaction, uint64_t weight = 1) {
     Entry* const entries = entries_.data();
-    Walk(items.data(), items.data() + items.size(),
+    Walk(transaction.begin(), transaction.end(),
          [entries, weight](NodeId n, bool) { entries[n].count += weight; });
   }
 

@@ -1,5 +1,7 @@
 #include "persistence/block_codec.h"
 
+#include <cstring>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,22 +39,36 @@ void WriteBlock(Writer& w, const TransactionBlock& block) {
   WriteBlockInfo(w, block.info());
   w.WriteU64(block.first_tid());
   w.WriteU64(block.size());
-  for (const Transaction& t : block.transactions()) {
-    w.WriteU32Vector(t.items());
+  for (const TransactionView t : block) {
+    w.WriteU64(t.size());
+    w.AppendRaw(t.data(), t.size() * sizeof(Item));
   }
 }
 
 void ReadBlockInto(Reader& r, TransactionBlock* block) {
   const BlockInfo info = ReadBlockInfo(r);
   const Tid first_tid = r.ReadU64();
+  // Each record carries at least its u64 length, so the remaining bytes
+  // bound the record count — and, read once per record below, the items.
   const size_t n = r.ReadLength(sizeof(uint64_t));
-  std::vector<Transaction> transactions;
-  transactions.reserve(n);
+  std::vector<uint32_t> ends;
+  ends.reserve(n);
+  std::vector<Item> items;
   for (size_t i = 0; r.ok() && i < n; ++i) {
-    transactions.emplace_back(r.ReadU32Vector());
+    const size_t length = r.ReadLength(sizeof(Item));
+    const std::string_view bytes = r.ReadBytes(length * sizeof(Item));
+    if (!r.ok()) break;
+    if (items.size() + length > TransactionBlock::kMaxItemSlots) {
+      r.Fail("transaction block exceeds 32-bit record offsets");
+      break;
+    }
+    const size_t at = items.size();
+    items.resize(at + length);
+    if (length > 0) std::memcpy(items.data() + at, bytes.data(), bytes.size());
+    ends.push_back(static_cast<uint32_t>(items.size()));
   }
   if (!r.ok()) return;
-  *block = TransactionBlock(std::move(transactions), first_tid);
+  *block = TransactionBlock(std::move(items), std::move(ends), first_tid);
   *block->mutable_info() = info;
 }
 

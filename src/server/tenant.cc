@@ -2,11 +2,12 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <utility>
+
+#include "data/block.h"
 
 namespace demon::server {
 
@@ -100,7 +101,7 @@ Result<std::unique_ptr<Tenant>> Tenant::Recover(std::string name,
 }
 
 Result<AppendOutcome> Tenant::Append(uint64_t first_record_index,
-                                     std::vector<Transaction> records,
+                                     const std::vector<Transaction>& records,
                                      ThreadPool* pool) {
   bool schedule = false;
   AppendOutcome outcome;
@@ -117,14 +118,28 @@ Result<AppendOutcome> Tenant::Append(uint64_t first_record_index,
     if (skip >= records.size()) {
       outcome.deduplicated = records.size();
     } else {
+      size_t slots = 0;
+      for (size_t i = skip; i < records.size(); ++i) {
+        slots += records[i].size();
+      }
+      if (slots > TransactionBlock::kMaxItemSlots - staged_items_.size()) {
+        return Status::ResourceExhausted(
+            "tenant " + name_ + " cannot stage " + std::to_string(slots) +
+            " more item slots: 32-bit record offsets are full");
+      }
       outcome.deduplicated = skip;
       outcome.accepted = records.size() - skip;
       for (size_t i = skip; i < records.size(); ++i) {
-        staging_.push_back(std::move(records[i]));
+        const std::vector<Item>& items = records[i].items();
+        staged_items_.insert(staged_items_.end(), items.begin(), items.end());
+        staged_ends_.push_back(static_cast<uint32_t>(staged_items_.size()));
+        if (staged_ends_.size() == policy_.flush_records) {
+          cut_.push_back(CutStagedLocked());
+        }
       }
       records_admitted_ += outcome.accepted;
     }
-    if (staging_.size() >= policy_.flush_records && !flush_inflight_) {
+    if (!cut_.empty() && !flush_inflight_) {
       flush_inflight_ = true;
       schedule = true;
     }
@@ -147,20 +162,16 @@ void Tenant::BackgroundFlush(ThreadPool* pool) {
   // flushes sizing their own work) see a smaller budget while this runs.
   ThreadPool::TokenLease lease(pool, 1);
   for (;;) {
-    std::vector<Transaction> records;
+    CutRecords records;
     {
       MutexLock lock(mutex_);
-      if (!durable_status_.ok() ||
-          staging_.size() < policy_.flush_records) {
+      if (!durable_status_.ok() || cut_.empty()) {
         flush_inflight_ = false;
         flush_done_.NotifyAll();
         return;
       }
-      records.reserve(policy_.flush_records);
-      for (uint64_t i = 0; i < policy_.flush_records; ++i) {
-        records.push_back(std::move(staging_.front()));
-        staging_.pop_front();
-      }
+      records = std::move(cut_.front());
+      cut_.pop_front();
     }
     const Status sealed = SealBlock(std::move(records));
     if (!sealed.ok()) {
@@ -173,8 +184,19 @@ void Tenant::BackgroundFlush(ThreadPool* pool) {
   }
 }
 
-Status Tenant::SealBlock(std::vector<Transaction> records) {
-  const uint64_t count = records.size();
+Tenant::CutRecords Tenant::CutStagedLocked() {
+  // Exact-size copies: the sealed block lives in the history for good, so
+  // it must carry none of the staging arrays' growth slack.
+  CutRecords cut;
+  cut.items.assign(staged_items_.begin(), staged_items_.end());
+  cut.ends.assign(staged_ends_.begin(), staged_ends_.end());
+  staged_items_.clear();
+  staged_ends_.clear();
+  return cut;
+}
+
+Status Tenant::SealBlock(CutRecords records) {
+  const uint64_t count = records.ends.size();
   uint64_t first_tid = 0;
   {
     MutexLock lock(mutex_);
@@ -183,7 +205,8 @@ Status Tenant::SealBlock(std::vector<Transaction> records) {
   // Block metadata stays at its defaults (zero times, empty label): the
   // checkpoint must be a pure function of the record stream, and wall
   // clocks are exactly what byte-identical crash recovery cannot afford.
-  monitor_->AddBlock(TransactionBlock(std::move(records), first_tid));
+  monitor_->AddBlock(TransactionBlock(std::move(records.items),
+                                      std::move(records.ends), first_tid));
   DEMON_RETURN_NOT_OK(monitor_->wal_status());
   bool checkpoint_due = false;
   {
@@ -211,7 +234,7 @@ Status Tenant::Flush() {
   AcquireFlushToken();
   Status status = Status::OK();
   for (;;) {
-    std::vector<Transaction> records;
+    CutRecords records;
     bool checkpoint_due = false;
     {
       MutexLock lock(mutex_);
@@ -219,19 +242,16 @@ Status Tenant::Flush() {
         status = durable_status_;
         break;
       }
-      if (staging_.empty()) {
-        checkpoint_due = blocks_since_checkpoint_ > 0;
+      if (!cut_.empty()) {
+        records = std::move(cut_.front());
+        cut_.pop_front();
+      } else if (!staged_ends_.empty()) {
+        records = CutStagedLocked();  // the final partial block
       } else {
-        const uint64_t take =
-            std::min<uint64_t>(policy_.flush_records, staging_.size());
-        records.reserve(take);
-        for (uint64_t i = 0; i < take; ++i) {
-          records.push_back(std::move(staging_.front()));
-          staging_.pop_front();
-        }
+        checkpoint_due = blocks_since_checkpoint_ > 0;
       }
     }
-    if (records.empty()) {
+    if (records.ends.empty()) {
       if (checkpoint_due) status = WriteCheckpoint();
       break;
     }

@@ -93,9 +93,11 @@ class Tenant {
   /// `first_record_index`. Overlap with already-admitted records is
   /// skipped (resend after a crash or a lost ack); a batch starting
   /// beyond the cursor is a gap and rejected with InvalidArgument.
-  /// Schedules a background flush on `pool` once a full block is staged.
+  /// The admitted records' items are copied into the flat staging
+  /// arrays; `records` stays the caller's. Schedules a background flush
+  /// on `pool` once a full block is staged.
   [[nodiscard]] Result<AppendOutcome> Append(
-      uint64_t first_record_index, std::vector<Transaction> records,
+      uint64_t first_record_index, const std::vector<Transaction>& records,
       ThreadPool* pool) DEMON_EXCLUDES(mutex_);
 
   /// Waits for any in-flight background flush, seals everything staged
@@ -123,15 +125,24 @@ class Tenant {
   void AcquireFlushToken() DEMON_EXCLUDES(mutex_);
   void ReleaseFlushToken() DEMON_EXCLUDES(mutex_);
 
-  /// Body of a scheduled background flush: seals full blocks while any
-  /// are staged, then releases the token. Runs on a pool worker holding
+  /// Body of a scheduled background flush: seals cut blocks while any
+  /// are queued, then releases the token. Runs on a pool worker holding
   /// a parallelism token lease.
   void BackgroundFlush(ThreadPool* pool) DEMON_EXCLUDES(mutex_);
 
+  /// The records of one block, flat: every item, then each record's end
+  /// offset into `items`.
+  struct CutRecords {
+    std::vector<Item> items;
+    std::vector<uint32_t> ends;
+  };
+  /// Moves every staged record into exactly-sized arrays and empties the
+  /// staging arrays (keeping their capacity).
+  CutRecords CutStagedLocked() DEMON_REQUIRES(mutex_);
+
   /// Seals `records` into the next block and feeds the monitor. Caller
   /// holds the flush token (never `mutex_`).
-  [[nodiscard]] Status SealBlock(std::vector<Transaction> records)
-      DEMON_EXCLUDES(mutex_);
+  [[nodiscard]] Status SealBlock(CutRecords records) DEMON_EXCLUDES(mutex_);
 
   /// Checkpoints and resets the WAL. Caller holds the flush token.
   [[nodiscard]] Status WriteCheckpoint() DEMON_EXCLUDES(mutex_);
@@ -142,8 +153,16 @@ class Tenant {
 
   Mutex mutex_;
   CondVar flush_done_;
-  /// Admitted-but-unsealed records, in stream order.
-  std::deque<Transaction> staging_ DEMON_GUARDED_BY(mutex_);
+  /// Admitted-but-unsealed records, in stream order. The partial block is
+  /// staged flat: every item in `staged_items_`, each record's end offset
+  /// into it in `staged_ends_`. Append copies the items in and, the moment
+  /// `flush_records` are staged, cuts them into `cut_` as exactly-sized
+  /// arrays. So the thread that decoded a request frees its per-record
+  /// vectors and allocates the block's long-lived arrays, and the flush
+  /// worker only seals (see DESIGN.md "Block layout" for why).
+  std::deque<CutRecords> cut_ DEMON_GUARDED_BY(mutex_);
+  std::vector<Item> staged_items_ DEMON_GUARDED_BY(mutex_);
+  std::vector<uint32_t> staged_ends_ DEMON_GUARDED_BY(mutex_);
   /// Total records admitted (durable + staged).
   uint64_t records_admitted_ DEMON_GUARDED_BY(mutex_) = 0;
   /// Total records sealed into blocks.

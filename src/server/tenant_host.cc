@@ -114,14 +114,14 @@ Tenant* TenantHost::FindTenant(const std::string& name) {
   return it == tenants_.end() ? nullptr : it->second.get();
 }
 
-Result<AppendOutcome> TenantHost::Append(const std::string& name,
-                                         uint64_t first_record_index,
-                                         std::vector<Transaction> records) {
+Result<AppendOutcome> TenantHost::Append(
+    const std::string& name, uint64_t first_record_index,
+    const std::vector<Transaction>& records) {
   Tenant* tenant = FindTenant(name);
   if (tenant == nullptr) {
     return Status::NotFound("no tenant named \"" + name + "\"");
   }
-  return tenant->Append(first_record_index, std::move(records), &pool_);
+  return tenant->Append(first_record_index, records, &pool_);
 }
 
 Result<TenantStats> TenantHost::FlushTenant(const std::string& name) {

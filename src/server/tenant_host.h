@@ -53,7 +53,7 @@ class TenantHost {
 
   [[nodiscard]] Result<AppendOutcome> Append(
       const std::string& name, uint64_t first_record_index,
-      std::vector<Transaction> records) DEMON_EXCLUDES(mutex_);
+      const std::vector<Transaction>& records) DEMON_EXCLUDES(mutex_);
 
   /// Seals everything the tenant has staged and checkpoints it.
   [[nodiscard]] Result<TenantStats> FlushTenant(const std::string& name)

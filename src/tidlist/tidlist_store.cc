@@ -33,12 +33,13 @@ std::shared_ptr<const BlockTidLists> BlockTidLists::Build(
   // One scan of the block appends each transaction offset to the list of
   // every item it contains (paper §3.1.1 "materialization of TID-lists").
   std::vector<TidList> item_lists(num_items);
-  const auto& transactions = block.transactions();
-  for (size_t offset = 0; offset < transactions.size(); ++offset) {
-    for (Item item : transactions[offset].items()) {
+  uint32_t offset = 0;
+  for (const TransactionView transaction : block) {
+    for (Item item : transaction) {
       DEMON_CHECK_MSG(item < num_items, "item outside the declared universe");
-      item_lists[item].push_back(static_cast<uint32_t>(offset));
+      item_lists[item].push_back(offset);
     }
+    ++offset;
   }
   for (const TidList& list : item_lists) {
     lists->item_list_slots_ += list.size();

@@ -73,8 +73,11 @@ class TidListLease {
 /// Lists hold block-local offsets; by the additivity and 0/1 properties,
 /// per-block lists are built once when the block arrives and never change.
 /// The item lists occupy exactly as many slots as the transactional
-/// representation of the block, so they *replace* it rather than duplicate
-/// it; pair lists are the "additional disk space" of ECUT+.
+/// representation of the block. The paper lets them *replace* that
+/// representation; here the snapshot still holds the flat block (PT-Scan,
+/// checkpoints and the WAL read it), so each maintainer's lists are a
+/// second copy of the same slots. Pair lists are the "additional disk
+/// space" of ECUT+.
 ///
 /// Storage tiers: each list is encoded (raw or delta+varint, whichever is
 /// smaller — see tidlist_codec.h) into one contiguous per-block payload

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/block.h"
 #include "data/point.h"
 #include "data/snapshot.h"
@@ -40,6 +42,83 @@ TEST(TransactionBlockTest, TidsAreImplicit) {
 TEST(TransactionBlockTest, TotalItemOccurrences) {
   TransactionBlock block({Transaction({1, 2}), Transaction({3})}, 0);
   EXPECT_EQ(block.TotalItemOccurrences(), 3u);
+  // One slot per item occurrence, and nothing else stored (§3.1.1).
+  EXPECT_EQ(block.TotalItemOccurrences(), block.items().size());
+  EXPECT_EQ(block.ends(), (std::vector<uint32_t>{2, 3}));
+  size_t viewed = 0;
+  for (const TransactionView t : block) viewed += t.size();
+  EXPECT_EQ(viewed, block.TotalItemOccurrences());
+}
+
+TEST(TransactionBlockTest, EmptyBlocksAndEmptyRecords) {
+  const TransactionBlock defaulted;
+  EXPECT_TRUE(defaulted.empty());
+  EXPECT_EQ(defaulted.begin(), defaulted.end());
+  EXPECT_EQ(defaulted.TotalItemOccurrences(), 0u);
+  const TransactionBlock from_records(std::vector<Transaction>{}, 7);
+  const TransactionBlock from_flat({}, {}, 7);
+  EXPECT_TRUE(from_records.empty());
+  EXPECT_EQ(from_records, from_flat);
+
+  // An empty record between non-empty ones keeps its place and its TID.
+  const TransactionBlock block({4, 6, 2}, {2, 2, 3}, 10);
+  ASSERT_EQ(block.size(), 3u);
+  EXPECT_EQ(block[0], Transaction({4, 6}));
+  EXPECT_TRUE(block[1].empty());
+  EXPECT_EQ(block[2], Transaction({2}));
+  EXPECT_EQ(block.TidAt(2), 12u);
+  EXPECT_EQ(block, TransactionBlock({Transaction({4, 6}), Transaction(),
+                                     Transaction({2})},
+                                    10));
+}
+
+TEST(TransactionBlockTest, FlatInputIsNormalizedPerRecord) {
+  // Unsorted records, duplicates within a record, and an item repeated
+  // across records (which must survive: records are sets, blocks bags).
+  const TransactionBlock block({9, 3, 9, 1, 5, 5, 5, 3, 1, 3},
+                               {4, 7, 10}, 0);
+  ASSERT_EQ(block.size(), 3u);
+  EXPECT_EQ(block[0], Transaction({1, 3, 9}));
+  EXPECT_EQ(block[1], Transaction({5}));
+  EXPECT_EQ(block[2], Transaction({1, 3}));
+  EXPECT_EQ(block.items(), (std::vector<Item>{1, 3, 9, 5, 1, 3}));
+  EXPECT_EQ(block.ends(), (std::vector<uint32_t>{3, 4, 6}));
+  // Compaction leaves no slack behind.
+  EXPECT_EQ(block.items().capacity(), block.items().size());
+}
+
+TEST(TransactionBlockTest, ViewsOfFirstAndLastRecord) {
+  const std::vector<Transaction> records = {
+      Transaction({1, 2, 3}), Transaction({4}), Transaction({0, 8})};
+  const TransactionBlock block(records, 0);
+  EXPECT_EQ(block[0], records.front());
+  EXPECT_EQ(block[2], records.back());
+  EXPECT_EQ(block[2].back(), 8u);
+  EXPECT_EQ(block[0].data(), block.items().data());
+  EXPECT_EQ(block[2].end(), block.items().data() + block.items().size());
+  EXPECT_TRUE(block[2].Contains(8));
+  const std::vector<Item> pair = {0, 8};
+  EXPECT_TRUE(block[2].ContainsAll(pair.begin(), pair.end()));
+  EXPECT_FALSE(block[0].ContainsAll(pair.begin(), pair.end()));
+  // The iterator visits the same records operator[] returns.
+  size_t k = 0;
+  for (const TransactionView t : block) EXPECT_EQ(t, block[k++]);
+  EXPECT_EQ(k, block.size());
+}
+
+TEST(TransactionBlockTest, CopyAndEquality) {
+  TransactionBlock block({Transaction({1, 2}), Transaction({3})}, 5);
+  block.mutable_info()->label = "b";
+  const TransactionBlock copy = block;
+  EXPECT_EQ(copy, block);
+  EXPECT_EQ(copy.info().label, "b");
+  EXPECT_NE(copy.items().data(), block.items().data());
+  // Materializing and re-flattening is the identity.
+  EXPECT_EQ(TransactionBlock(block.transactions(), 5), block);
+  // Same slots split into different records, or a different first TID,
+  // is a different block.
+  EXPECT_FALSE(TransactionBlock({1, 2, 3}, {1, 3}, 5) == block);
+  EXPECT_FALSE(TransactionBlock(block.transactions(), 6) == block);
 }
 
 TEST(PointBlockTest, FlatLayout) {

@@ -76,6 +76,16 @@ TEST(BlockOpsTest, MergePreservesTransactionsAndTimes) {
   EXPECT_EQ(merged.info().end_time, 400);
   EXPECT_EQ(merged.transactions()[0], blocks[0].transactions()[0]);
   EXPECT_EQ(merged.transactions()[149], blocks[2].transactions()[49]);
+  // Record by record, the merge is the concatenation of the parts.
+  std::vector<Transaction> concatenated;
+  for (const TransactionBlock& block : blocks) {
+    for (const TransactionView t : block) concatenated.emplace_back(t);
+  }
+  EXPECT_EQ(merged, TransactionBlock(concatenated, blocks[0].first_tid()));
+  EXPECT_EQ(merged.TotalItemOccurrences(),
+            blocks[0].TotalItemOccurrences() +
+                blocks[1].TotalItemOccurrences() +
+                blocks[2].TotalItemOccurrences());
 }
 
 TEST(BlockOpsTest, CoarsenGroupsAndRemainder) {

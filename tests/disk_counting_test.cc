@@ -92,12 +92,12 @@ TEST(TransactionFileTest, ScannerVisitsAllAndTracksBytes) {
   ASSERT_TRUE(scanner_result.ok());
   auto& scanner = *scanner_result.value();
   size_t visits = 0;
-  ASSERT_TRUE(scanner.Scan([&visits](const Transaction&) { ++visits; }).ok());
+  ASSERT_TRUE(scanner.Scan([&visits](TransactionView) { ++visits; }).ok());
   EXPECT_EQ(visits, fixture.block->size());
   EXPECT_GT(scanner.bytes_read(), 0u);
   // Scanning twice rewinds correctly.
   visits = 0;
-  ASSERT_TRUE(scanner.Scan([&visits](const Transaction&) { ++visits; }).ok());
+  ASSERT_TRUE(scanner.Scan([&visits](TransactionView) { ++visits; }).ok());
   EXPECT_EQ(visits, fixture.block->size());
 }
 
@@ -188,10 +188,10 @@ TEST(TransactionFileTest, BytesAndScanCountersArePinned) {
 
   auto scanner = TransactionFileScanner::Open(fixture.tx_path);
   ASSERT_TRUE(scanner.ok()) << scanner.status();
-  ASSERT_TRUE(scanner.value()->Scan([](const Transaction&) {}).ok());
+  ASSERT_TRUE(scanner.value()->Scan([](TransactionView) {}).ok());
   EXPECT_EQ(scanner.value()->bytes_read(), kPinnedScanBytesRead);
   // A second scan rewinds and counts the same bytes again.
-  ASSERT_TRUE(scanner.value()->Scan([](const Transaction&) {}).ok());
+  ASSERT_TRUE(scanner.value()->Scan([](TransactionView) {}).ok());
   EXPECT_EQ(scanner.value()->bytes_read(), 2 * kPinnedScanBytesRead);
 }
 

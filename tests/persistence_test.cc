@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/monitor_spec.h"
@@ -346,6 +347,47 @@ TEST(BlockCodecTest, SnapshotRoundTripAndIdValidation) {
   Snapshot<TransactionBlock> target;
   persistence::ReadSnapshotInto(rb, &target);
   EXPECT_EQ(rb.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(BlockCodecTest, TransactionBlockDecodesNormalizedAndRefusesLengthLies) {
+  // Hand-framed bytes: records out of order and with duplicates decode to
+  // the normalized records, as every other entry point produces them.
+  Writer w;
+  persistence::WriteBlockInfo(w, BlockInfo{});
+  w.WriteU64(40);  // first tid
+  w.WriteU64(3);   // records
+  w.WriteU32Vector({9, 2, 9, 4});
+  w.WriteU32Vector({});
+  w.WriteU32Vector({3, 3});
+  Reader r(w.buffer());
+  TransactionBlock block;
+  persistence::ReadBlockInto(r, &block);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(block, TransactionBlock({Transaction({2, 4, 9}), Transaction(),
+                                     Transaction({3})},
+                                    40));
+  EXPECT_EQ(block.TotalItemOccurrences(), 4u);
+
+  // A record claiming 2^40 items, or 2^62 (whose byte count wraps to 0
+  // in 64 bits), or a block claiming 2^40 records, is DataLoss before
+  // anything is sized by the claim; the target block is left as it was.
+  const TransactionBlock sentinel({Transaction({1})}, 0);
+  const std::pair<uint64_t, uint64_t> lies[] = {
+      {2, uint64_t{1} << 40}, {2, uint64_t{1} << 62}, {uint64_t{1} << 40, 1}};
+  for (const auto& [records, second_length] : lies) {
+    Writer lie;
+    persistence::WriteBlockInfo(lie, BlockInfo{});
+    lie.WriteU64(0);
+    lie.WriteU64(records);
+    lie.WriteU32Vector({1});
+    lie.WriteU64(second_length);
+    lie.WriteU32(5);
+    Reader rl(lie.buffer());
+    TransactionBlock target = sentinel;
+    persistence::ReadBlockInto(rl, &target);
+    EXPECT_EQ(rl.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(target, sentinel);
+  }
 }
 
 TEST(BlockCodecTest, CorruptBlockLatchesInsteadOfCrashing) {

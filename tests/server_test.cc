@@ -12,10 +12,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -235,6 +237,49 @@ TEST(WireCodec, OversizedRecordCountIsDataLossNotAllocation) {
 
 // --------------------------------------------------------------------------
 // Socket framing.
+
+TEST(TenantStaging, StraddlingAppendsSealTheBlocksOfTheRecordStream) {
+  // Batches straddle the 5-record block boundary (one resends an overlap)
+  // and a Flush seals the partial tail; the sealed blocks must equal the
+  // blocks built directly from the same records.
+  const std::string dir = TempPath("tenant_staging");
+  RemoveTree(dir);
+  TenantPolicy policy;
+  policy.flush_records = 5;
+  policy.checkpoint_blocks = 100;
+  auto created = Tenant::Create("acme", dir, 32, {ItemsetSpec(0.3)}, policy);
+  ASSERT_TRUE(created.ok()) << created.status();
+  Tenant& tenant = *created.value();
+  std::vector<Transaction> stream;
+  for (uint64_t i = 0; i < 14; ++i) stream.push_back(MakeRecord(7, 0, i));
+  const auto batch = [&stream](uint64_t first, uint64_t last) {
+    return std::vector<Transaction>(stream.begin() + first,
+                                    stream.begin() + last);
+  };
+  const std::pair<uint64_t, uint64_t> batches[] = {
+      {0, 3}, {3, 8}, {6, 12}, {12, 14}};
+  for (const auto& [first, last] : batches) {
+    auto appended = tenant.Append(first, batch(first, last), nullptr);
+    ASSERT_TRUE(appended.ok()) << appended.status();
+  }
+  EXPECT_EQ(tenant.Stats().records_durable, 10u);  // two full blocks
+  ASSERT_TRUE(tenant.Flush().ok());
+  const TenantStats stats = tenant.Stats();
+  EXPECT_EQ(stats.records_admitted, 14u);
+  EXPECT_EQ(stats.records_durable, 14u);
+  ASSERT_EQ(stats.blocks, 3u);
+
+  auto restored = DemonMonitor::Restore(tenant.CheckpointPath());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  const auto& snapshot = restored.value()->snapshot();
+  for (BlockId id = 1; id <= 3; ++id) {
+    const uint64_t first = (id - 1) * 5;
+    const uint64_t last = std::min<uint64_t>(first + 5, stream.size());
+    EXPECT_EQ(*snapshot.block(id), TransactionBlock(batch(first, last), first))
+        << "block " << id;
+  }
+  RemoveTree(dir);
+}
 
 TEST(SocketFraming, FrameRoundTripsOverSocketpair) {
   int fds[2];

@@ -154,6 +154,50 @@ TEST(TransactionFileTest, HostileCountIsDataLoss) {
   std::remove(path.c_str());
 }
 
+TEST(TransactionFileTest, UnsortedRecordsReadNormalizedAndLengthLieIsDataLoss) {
+  // Hand-framed file: a record out of order with a duplicate, then an
+  // empty one. Read and Scan both yield the normalized records.
+  const std::string path = TempPath("tx_unsorted.bin");
+  persistence::Writer w;
+  persistence::FileHeader::Append(w, persistence::FormatId::kTransactionFile,
+                                  1);
+  w.WriteU64(2);
+  w.WriteU32(3);
+  for (const Item item : {7u, 1u, 7u}) w.WriteU32(item);
+  w.WriteU32(0);
+  ASSERT_TRUE(persistence::WriteFile(path, {w.buffer()}).ok());
+  auto read = TransactionFile::Read(path, 3);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(),
+            TransactionBlock({Transaction({1, 7}), Transaction()}, 3));
+  auto scanner = TransactionFileScanner::Open(path);
+  ASSERT_TRUE(scanner.ok()) << scanner.status();
+  std::vector<Transaction> scanned;
+  ASSERT_TRUE(scanner.value()
+                  ->Scan([&scanned](TransactionView t) {
+                    scanned.emplace_back(t);
+                  })
+                  .ok());
+  EXPECT_EQ(scanned, read.value().transactions());
+
+  // A record claiming 2^32 - 1 items in a file holding one more u32:
+  // DataLoss from both readers, with nothing sized by the claim.
+  persistence::Writer lie;
+  persistence::FileHeader::Append(
+      lie, persistence::FormatId::kTransactionFile, 1);
+  lie.WriteU64(1);
+  lie.WriteU32(UINT32_MAX);
+  lie.WriteU32(4);
+  ASSERT_TRUE(persistence::WriteFile(path, {lie.buffer()}).ok());
+  EXPECT_EQ(TransactionFile::Read(path).status().code(),
+            StatusCode::kDataLoss);
+  auto lying = TransactionFileScanner::Open(path);
+  ASSERT_TRUE(lying.ok()) << lying.status();
+  EXPECT_EQ(lying.value()->Scan([](TransactionView) {}).code(),
+            StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
 TEST(TransactionFileTest, FullDiskIsIoError) {
   // Every write to /dev/full fails with ENOSPC, which the write itself
   // reports.
@@ -171,7 +215,7 @@ TEST(TransactionFileTest, ScannerReportsCountAndBytes) {
   ASSERT_TRUE(scanner.ok()) << scanner.status();
   size_t visited = 0;
   ASSERT_TRUE(
-      scanner.value()->Scan([&visited](const Transaction&) { ++visited; })
+      scanner.value()->Scan([&visited](TransactionView) { ++visited; })
           .ok());
   EXPECT_EQ(visited, block.size());
   EXPECT_EQ(scanner.value()->num_transactions(), block.size());

@@ -1,8 +1,11 @@
 #include "core/demon_monitor.h"
 
+#include <type_traits>
+
 #include "persistence/block_codec.h"
 #include "persistence/file_header.h"
 #include "persistence/serializer.h"
+#include "tidlist/history_block.h"
 
 namespace demon {
 namespace {
@@ -158,9 +161,28 @@ void DemonMonitor::LogArrival(const BlockT& block) {
 }
 
 void DemonMonitor::AddBlock(TransactionBlock block) {
-  const BlockId id = snapshot_.Append(std::move(block));
-  LogArrival(*snapshot_.block(id));
-  engine_.Dispatch(AnyBlock(snapshot_.block(id)));
+  block.mutable_info()->id = snapshot_.latest_id() + 1;
+  auto records = std::make_shared<const TransactionBlock>(std::move(block));
+  LogArrival(*records);
+  AppendTransactions(std::move(records));
+  if (audit::kEnabled) {
+    audit::AuditResult audit;
+    AuditInto(&audit);
+    audit.CheckOrDie();
+  }
+}
+
+void DemonMonitor::AppendTransactions(
+    std::shared_ptr<const TransactionBlock> block) {
+  const BlockId id =
+      snapshot_.Append(std::make_shared<const HistoryBlock>(block));
+  // The dispatched block keeps the records alive while monitors absorb it;
+  // after that, only the monitors that read records hold them.
+  engine_.Dispatch(AnyBlock(snapshot_.block(id), std::move(block)));
+}
+
+void DemonMonitor::AuditInto(audit::AuditResult* audit) const {
+  for (const auto& block : snapshot_.blocks()) block->AuditInto(audit);
 }
 
 void DemonMonitor::AddPointBlock(PointBlock block) {
@@ -212,12 +234,17 @@ Result<std::unique_ptr<DemonMonitor>> DemonMonitor::Restore(
 
   auto monitor = std::make_unique<DemonMonitor>(
       static_cast<size_t>(num_items), engine);
-  persistence::ReadSnapshotInto(r, &monitor->snapshot_);
+  // The decoded flat blocks stay held until every maintainer is restored,
+  // so none is transposed back while monitors resolve their blocks; after
+  // that they live on only where a monitor reads records.
+  TransactionSnapshot records;
+  persistence::ReadSnapshotInto(r, &records);
   persistence::ReadSnapshotInto(r, &monitor->points_);
   persistence::ReadSnapshotInto(r, &monitor->labeled_);
   if (!r.ok()) return r.status();
-  for (const auto& block : monitor->snapshot_.blocks()) {
+  for (const auto& block : records.blocks()) {
     DEMON_RETURN_NOT_OK(CheckItemUniverse(*block, monitor->num_items_));
+    monitor->snapshot_.Append(std::make_shared<const HistoryBlock>(block));
   }
 
   // Maintainer state references blocks by id; resolve them against the
@@ -225,7 +252,7 @@ Result<std::unique_ptr<DemonMonitor>> DemonMonitor::Restore(
   persistence::BlockSource source;
   source.transactions =
       [&m = *monitor](BlockId id)
-      -> Result<std::shared_ptr<const TransactionBlock>> {
+      -> Result<std::shared_ptr<const HistoryBlock>> {
     if (id < 1 || id > m.snapshot_.latest_id()) {
       return Status::DataLoss("checkpoint references unknown transaction block " +
                               std::to_string(id));
@@ -308,8 +335,13 @@ Status DemonMonitor::ReplayWal(const std::string& path) {
           std::to_string(id) + " but the next expected id is " +
           std::to_string(next));
     }
-    snapshot.Append(std::move(block));
-    engine_.Dispatch(AnyBlock(snapshot.block(id)));
+    if constexpr (std::is_same_v<decltype(block),
+                                 std::shared_ptr<const TransactionBlock>>) {
+      AppendTransactions(std::move(block));
+    } else {
+      snapshot.Append(std::move(block));
+      engine_.Dispatch(AnyBlock(snapshot.block(id)));
+    }
     return Status::OK();
   };
   replayer.transactions =

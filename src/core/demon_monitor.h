@@ -41,6 +41,14 @@ using LabeledSnapshot = Snapshot<LabeledBlock>;
 /// instrumentation. This is the object a deployment embeds; the underlying
 /// algorithm classes stay usable directly for finer control.
 ///
+/// History: each transaction block is wrapped in one shared HistoryBlock
+/// that the snapshot and every transaction-consuming monitor hold. The
+/// first ECUT/ECUT+ monitor to absorb a block builds its item TID-lists,
+/// which all of them share; the block's flat records then live only as
+/// long as a monitor that reads records (PT-Scan, patterns) holds them —
+/// on an ECUT-only monitor they are freed once the engine has absorbed the
+/// block, and checkpoints write them back by transposing the lists.
+///
 /// Durability: `Checkpoint` atomically snapshots the whole monitored
 /// database — blocks, registered specs, and every maintainer's state — to
 /// one file, and `Restore` rebuilds an equivalent DemonMonitor from it.
@@ -70,7 +78,8 @@ class DemonMonitor {
   [[nodiscard]] Result<const MonitorSpec*> SpecOf(MonitorId id) const;
 
   /// Appends the next transaction block and updates every
-  /// transaction-consuming monitor.
+  /// transaction-consuming monitor. DEMON_AUDIT builds then audit the
+  /// history (see AuditInto).
   void AddBlock(TransactionBlock block);
 
   /// Appends the next point block and updates every cluster monitor.
@@ -162,7 +171,11 @@ class DemonMonitor {
     return engine_.TimelineRecords();
   }
 
-  const TransactionSnapshot& snapshot() const { return snapshot_; }
+  /// `history/one-form` over every snapshot entry: each holds its live
+  /// flat block or its item lists, covering exactly its record count.
+  void AuditInto(audit::AuditResult* audit) const;
+
+  const TransactionHistory& snapshot() const { return snapshot_; }
   const PointSnapshot& point_snapshot() const { return points_; }
   const LabeledSnapshot& labeled_snapshot() const { return labeled_; }
   const MaintenanceEngine& engine() const { return engine_; }
@@ -183,11 +196,18 @@ class DemonMonitor {
   template <typename BlockT>
   void LogArrival(const BlockT& block);
 
+  /// Appends `block` (its id already assigned) to the history and
+  /// dispatches it.
+  void AppendTransactions(std::shared_ptr<const TransactionBlock> block);
+
   size_t num_items_;
-  TransactionSnapshot snapshot_;
+  /// Declared before the snapshots so they are destroyed first: a history
+  /// block's item extent may be paged by a maintainer's pager that reports
+  /// into the engine's telemetry registry.
+  MaintenanceEngine engine_;
+  TransactionHistory snapshot_;
   PointSnapshot points_;
   LabeledSnapshot labeled_;
-  MaintenanceEngine engine_;
   /// Parallel to the engine's monitor ids: the spec each was built from
   /// (what Checkpoint stores so Restore can rebuild the maintainer).
   std::vector<MonitorSpec> specs_;

@@ -92,7 +92,8 @@ class CountingMaintainer {
 };
 
 // BordersMaintainer already satisfies the GEMM maintainer concept
-// (AddBlock(std::shared_ptr<const TransactionBlock>)); no adapter needed.
+// (AddBlock(std::shared_ptr<const HistoryBlock>), or of a flat block);
+// no adapter needed.
 
 // ---------------------------------------------------------------------------
 // Evolution tracking: the small amount of per-adapter state behind
@@ -211,7 +212,7 @@ class BordersAdapter : public ModelMaintainer {
     maintainer_.set_telemetry(registry);
   }
   void AddResponse(const AnyBlock& block) override {
-    maintainer_.AddBlock(block.transaction_block());
+    maintainer_.AddBlock(block.history());
     tracker_.Observe(maintainer_.model().FrequentItemsets(), &evolution_);
     evolution_.aux = static_cast<double>(maintainer_.model().NumBorder());
     evolution_.aux_name = "negative_border";
@@ -241,10 +242,12 @@ class BordersAdapter : public ModelMaintainer {
 };
 
 /// Most-recent-window frequent itemsets (GEMM over BORDERS, §3.2). The
-/// future-window updates are the offline half (§3.2.3).
+/// future-window updates are the offline half (§3.2.3). The window models
+/// share each block's history block — and so its item lists — and the
+/// adapter holds the block's flat records until its offline half has run.
 class GemmItemsetAdapter : public ModelMaintainer {
  public:
-  using GemmT = Gemm<BordersMaintainer, AnyBlock::TxPtr>;
+  using GemmT = Gemm<BordersMaintainer, AnyBlock::HistoryPtr>;
 
   GemmItemsetAdapter(BlockSelectionSequence bss, size_t window,
                      const BordersOptions& options)
@@ -272,7 +275,10 @@ class GemmItemsetAdapter : public ModelMaintainer {
     gemm_.set_telemetry(registry);
   }
   void AddResponse(const AnyBlock& block) override {
-    gemm_.BeginBlock(block.transaction_block());
+    // BeginBlock drains any pending work first, so the previous block's
+    // records are no longer needed.
+    pending_records_ = block.transaction_block();
+    gemm_.BeginBlock(block.history());
     // The user-visible model is whatever window is current *after* the
     // block (a window slide swaps model objects; identity is by itemset
     // contents, so the diff still describes what an observer sees).
@@ -282,7 +288,10 @@ class GemmItemsetAdapter : public ModelMaintainer {
     evolution_.aux_name = "negative_border";
   }
   EvolutionStats DescribeEvolution() const override { return evolution_; }
-  void RunOffline() override { gemm_.DrainOffline(); }
+  void RunOffline() override {
+    gemm_.DrainOffline();
+    pending_records_.reset();
+  }
   bool has_offline_work() const override { return gemm_.has_offline_work(); }
   [[nodiscard]] Result<const ItemsetModel*> itemset_model() const override {
     if (gemm_.NumModels() == 0) {
@@ -332,6 +341,8 @@ class GemmItemsetAdapter : public ModelMaintainer {
   ThreadPool* counting_pool_ = nullptr;
   telemetry::TelemetryRegistry* telemetry_registry_ = nullptr;
   GemmT gemm_;
+  /// The last block's flat records, held for the future-window updates.
+  AnyBlock::TxPtr pending_records_;
   SetEvolutionTracker<Itemset> tracker_;
   EvolutionStats evolution_;
 };

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "data/block.h"
 #include "dtree/labeled_block.h"
+#include "tidlist/history_block.h"
 
 namespace demon {
 
@@ -34,17 +35,33 @@ class TelemetryRegistry;
 /// wrapper lets that fan-out traverse a single dispatch path even though
 /// itemset, cluster and classifier maintainers consume different record
 /// types.
+///
+/// A transaction block travels as its shared HistoryBlock plus a
+/// reference to its flat records, so the records stay alive through every
+/// monitor's response even after the history block has let go of them. A
+/// maintainer that reads them later (GEMM's offline half) keeps a
+/// reference of its own.
 class AnyBlock {
  public:
   /// Enumerator order must match the variant alternative order below.
   enum class Payload { kTransactions = 0, kPoints = 1, kLabeled = 2 };
 
   using TxPtr = std::shared_ptr<const TransactionBlock>;
+  using HistoryPtr = std::shared_ptr<const HistoryBlock>;
   using PointPtr = std::shared_ptr<const PointBlock>;
   using LabeledPtr = std::shared_ptr<const LabeledBlock>;
 
+  /// A block no other consumer shares: wrapped in a history block of its
+  /// own.
   // NOLINTNEXTLINE(google-explicit-constructor): blocks convert freely.
-  AnyBlock(TxPtr block) : block_(std::move(block)) { CheckHeld(); }
+  AnyBlock(TxPtr block)
+      : AnyBlock(std::make_shared<const HistoryBlock>(block), block) {}
+  /// A history block and its live flat records.
+  AnyBlock(HistoryPtr history, TxPtr block)
+      : block_(Transactions{std::move(history), std::move(block)}) {
+    DEMON_CHECK(transaction_block() != nullptr);
+    CheckHeld();
+  }
   // NOLINTNEXTLINE(google-explicit-constructor)
   AnyBlock(PointPtr block) : block_(std::move(block)) { CheckHeld(); }
   // NOLINTNEXTLINE(google-explicit-constructor)
@@ -65,16 +82,31 @@ class AnyBlock {
   }
 
   /// Typed views; each requires the matching payload.
-  const TxPtr& transaction_block() const { return std::get<TxPtr>(block_); }
+  const TxPtr& transaction_block() const {
+    return std::get<Transactions>(block_).block;
+  }
+  const HistoryPtr& history() const {
+    return std::get<Transactions>(block_).history;
+  }
   const PointPtr& points() const { return std::get<PointPtr>(block_); }
   const LabeledPtr& labeled() const { return std::get<LabeledPtr>(block_); }
 
  private:
+  /// The transaction alternative; `->` reaches the history block, as the
+  /// other alternatives' pointers reach theirs.
+  struct Transactions {
+    HistoryPtr history;
+    TxPtr block;
+    const HistoryBlock* operator->() const { return history.get(); }
+  };
+
   void CheckHeld() const {
-    std::visit([](const auto& ptr) { DEMON_CHECK(ptr != nullptr); }, block_);
+    std::visit(
+        [](const auto& ptr) { DEMON_CHECK(ptr.operator->() != nullptr); },
+        block_);
   }
 
-  std::variant<TxPtr, PointPtr, LabeledPtr> block_;
+  std::variant<Transactions, PointPtr, LabeledPtr> block_;
 };
 
 /// Short payload name for stats output ("transactions", "points", ...).

@@ -18,7 +18,10 @@ namespace demon {
 ///
 /// Blocks are held by shared_ptr so that windows, TID-list stores, and
 /// maintained models can retain the blocks they were built from without
-/// copying the data.
+/// copying the data. A monitor's transaction snapshot holds HistoryBlocks
+/// (tidlist/history_block.h), which decide by reference count whether a
+/// block's flat records outlive its TID-lists; `BlockT` needs `info()`
+/// and `size()`, and `mutable_info()` only for Append(BlockT).
 template <typename BlockT>
 class Snapshot {
  public:

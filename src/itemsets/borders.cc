@@ -82,47 +82,64 @@ void BordersMaintainer::FoldBlockCounts(const TransactionBlock& block,
 void BordersMaintainer::AddBlock(
     std::shared_ptr<const TransactionBlock> block) {
   DEMON_CHECK(block != nullptr);
-  last_stats_ = UpdateStats{};
+  AddBlock(std::make_shared<const HistoryBlock>(std::move(block)));
+}
 
-  const bool needs_tidlists = options_.strategy != CountingStrategy::kPtScan;
-  if (needs_tidlists) {
-    // Materialize the block's TID-lists; for ECUT+ also the frequent
-    // 2-itemsets of the *current* model, highest support first, within the
-    // space budget (paper §3.1.1 heuristic). This is part of storing the
-    // block (the lists replace the transactional format), not of model
-    // maintenance, so it is not counted in detection/update time.
+void BordersMaintainer::AppendTidLists(const HistoryBlock& block,
+                                       const PairMaterializationSpec* spec) {
+  std::shared_ptr<const BlockTidLists> items =
+      block.ItemLists(options_.num_items, tidlists_.pager(), builds_counter_);
+  tidlists_.Append(spec == nullptr
+                       ? std::move(items)
+                       : BlockTidLists::WithPairs(std::move(items), *spec));
+}
+
+void BordersMaintainer::AddBlock(std::shared_ptr<const HistoryBlock> block) {
+  DEMON_CHECK(block != nullptr);
+  last_stats_ = UpdateStats{};
+  // The detection scan reads the new block's records; held here, they
+  // outlive the item-list build that lets the history block drop them.
+  const std::shared_ptr<const TransactionBlock> records =
+      block->Transactions();
+
+  if (uses_tidlists()) {
+    // The block's item lists are shared: built by whichever consumer of
+    // the block asks first. ECUT+ adds the frequent 2-itemsets of the
+    // *current* model, highest support first, within the space budget
+    // (paper §3.1.1 heuristic), in lists of its own. This is part of
+    // storing the block (the lists replace the transactional format), not
+    // of model maintenance, so it is not counted in detection/update time.
     DEMON_TRACE_SPAN(span, telemetry_, "tidlist-build", "borders");
-    PairMaterializationSpec spec;
-    std::shared_ptr<const BlockTidLists> lists;
     if (options_.strategy == CountingStrategy::kEcutPlus &&
         !model_.entries().empty()) {
+      PairMaterializationSpec spec;
       spec.pairs = model_.Frequent2ItemsetsBySupport();
       spec.budget_slots = static_cast<size_t>(
           options_.pair_budget_fraction *
-          static_cast<double>(block->TotalItemOccurrences()));
-      lists = BlockTidLists::Build(*block, options_.num_items, &spec);
+          static_cast<double>(records->TotalItemOccurrences()));
+      AppendTidLists(*block, &spec);
     } else {
-      lists = BlockTidLists::Build(*block, options_.num_items, nullptr);
+      AppendTidLists(*block, nullptr);
     }
-    tidlists_.Append(std::move(lists));
+  } else {
+    transactions_.push_back(records);
   }
+  history_.push_back(std::move(block));
 
   {
     DEMON_TRACE_SPAN(span, telemetry_, "borders-detect", "borders");
     telemetry::ScopedTimer timer(detection_hist_);
-    if (blocks_.empty() && model_.entries().empty()) {
+    if (history_.size() == 1 && model_.entries().empty()) {
       // First selected block: build the model from scratch (base case).
-      blocks_.push_back(std::move(block));
-      AprioriInto(blocks_, &counting_, &model_);
+      AprioriInto({records}, &counting_, &model_);
       last_stats_.detection_seconds = timer.Stop();
       return;
     }
 
     // Detection phase: one scan of the new block refreshes the supports of
     // L ∪ NB- and flags any itemset that crossed the threshold.
-    FoldBlockCounts(*block, +1);
-    model_.AddTransactions(block->size());
-    blocks_.push_back(std::move(block));
+    FoldBlockCounts(*records, +1);
+    model_.AddTransactions(records->size());
     last_stats_.detection_seconds = timer.Stop();
   }
 
@@ -134,25 +151,30 @@ void BordersMaintainer::AddBlock(
 
 void BordersMaintainer::Reset() {
   model_.Clear();
-  blocks_.clear();
+  history_.clear();
+  transactions_.clear();
   tidlists_.Clear();
   last_stats_ = UpdateStats{};
 }
 
 void BordersMaintainer::RemoveBlockAt(size_t index) {
-  DEMON_CHECK(index < blocks_.size());
+  DEMON_CHECK(index < history_.size());
   last_stats_ = UpdateStats{};
 
   {
     DEMON_TRACE_SPAN(span, telemetry_, "borders-detect", "borders");
     telemetry::ScopedTimer timer(detection_hist_);
-    const auto victim = blocks_[index];
+    // An ECUT/ECUT+ maintainer holds no records: a block nobody else
+    // holds comes back transposed from its item lists.
+    const auto victim = history_[index]->Transactions();
     FoldBlockCounts(*victim, -1);
     DEMON_CHECK(model_.num_transactions() >= victim->size());
     model_.set_num_transactions(model_.num_transactions() - victim->size());
-    blocks_.erase(blocks_.begin() + index);
-    if (options_.strategy != CountingStrategy::kPtScan) {
+    history_.erase(history_.begin() + index);
+    if (uses_tidlists()) {
       tidlists_.DropAt(index);
+    } else {
+      transactions_.erase(transactions_.begin() + index);
     }
     last_stats_.detection_seconds = timer.Stop();
   }
@@ -217,8 +239,8 @@ void BordersMaintainer::Refresh() {
         unseen.push_back(std::move(candidates[i]));
       }
       const std::vector<uint64_t> unseen_counts =
-          counting_.Count(options_.strategy, unseen, blocks_, tidlists_,
-                          &last_stats_.counting);
+          counting_.Count(options_.strategy, unseen, transactions_,
+                          tidlists_, &last_stats_.counting);
       for (size_t j = 0; j < unseen.size(); ++j) {
         counts[unseen_at[j]] = unseen_counts[j];
         candidates[unseen_at[j]] = std::move(unseen[j]);
@@ -295,38 +317,53 @@ void BordersMaintainer::AuditInto(audit::AuditResult* audit) const {
               "");
 
   uint64_t total_transactions = 0;
-  for (const auto& block : blocks_) total_transactions += block->size();
+  for (const auto& block : history_) total_transactions += block->size();
   AUDIT_CHECK(audit, "borders", "borders/transaction-total",
               total_transactions == model_.num_transactions(),
               audit::Msg() << "model holds " << model_.num_transactions()
-                           << " transactions but the " << blocks_.size()
+                           << " transactions but the " << history_.size()
                            << " selected blocks sum to " << total_transactions,
               "");
 
-  if (options_.strategy == CountingStrategy::kPtScan) return;
+  if (!uses_tidlists()) return;
   tidlists_.AuditInto(audit);
   AUDIT_CHECK(audit, "borders", "borders/tidlist-block-count",
-              tidlists_.NumBlocks() == blocks_.size(),
+              tidlists_.NumBlocks() == history_.size(),
               audit::Msg() << "store has " << tidlists_.NumBlocks()
-                           << " TID-list blocks for " << blocks_.size()
+                           << " TID-list blocks for " << history_.size()
                            << " transaction blocks",
               "");
-  const size_t paired = std::min(tidlists_.NumBlocks(), blocks_.size());
+  const size_t paired = std::min(tidlists_.NumBlocks(), history_.size());
   for (size_t i = 0; i < paired; ++i) {
     AUDIT_CHECK(audit, "borders", "borders/tidlist-block-size",
-                tidlists_.block(i).num_transactions() == blocks_[i]->size(),
+                tidlists_.block(i).num_transactions() == history_[i]->size(),
                 audit::Msg() << "TID-list block " << i << " covers "
                              << tidlists_.block(i).num_transactions()
                              << " transactions, block holds "
-                             << blocks_[i]->size(),
+                             << history_[i]->size(),
+                "");
+    // One item extent per block, shared with every other consumer of it:
+    // the store's must be the very one the history block built.
+    AUDIT_CHECK(audit, "borders", "borders/shared-item-extent",
+                &tidlists_.block(i).item_extent() ==
+                    history_[i]->item_lists().get(),
+                audit::Msg() << "TID-list block " << i << " (block "
+                             << history_[i]->info().id
+                             << ") reads item lists other than its history "
+                                "block's",
                 "");
   }
 }
 
 void BordersMaintainer::AuditRescratchInto(audit::AuditResult* audit) const {
-  if (blocks_.empty()) return;
+  if (history_.empty()) return;
+  // The records of every selected block; an ECUT/ECUT+ maintainer's
+  // dropped blocks come back transposed.
+  std::vector<std::shared_ptr<const TransactionBlock>> blocks;
+  blocks.reserve(history_.size());
+  for (const auto& block : history_) blocks.push_back(block->Transactions());
   const ItemsetModel scratch =
-      Apriori(blocks_, options_.minsup, options_.num_items);
+      Apriori(blocks, options_.minsup, options_.num_items);
 
   size_t mismatched = 0;
   std::string example;
@@ -375,7 +412,7 @@ void BordersMaintainer::AuditRescratchInto(audit::AuditResult* audit) const {
     retired.push_back(std::move(itemset));
     retired_counts.push_back(count);
   });
-  const std::vector<uint64_t> supports = PtScanCount(retired, blocks_);
+  const std::vector<uint64_t> supports = PtScanCount(retired, blocks);
   for (size_t i = 0; i < retired.size(); ++i) {
     AUDIT_CHECK(audit, "borders", "borders/retired-untracked",
                 !model_.Contains(retired[i]),
@@ -394,10 +431,10 @@ void BordersMaintainer::AuditRescratchInto(audit::AuditResult* audit) const {
 
 void BordersMaintainer::SaveState(persistence::Writer& w) const {
   SerializeItemsetModel(w, model_);
-  w.WriteU64(blocks_.size());
-  for (const auto& block : blocks_) w.WriteU32(block->info().id);
-  if (options_.strategy == CountingStrategy::kPtScan) return;
-  DEMON_CHECK(tidlists_.NumBlocks() == blocks_.size());
+  w.WriteU64(history_.size());
+  for (const auto& block : history_) w.WriteU32(block->info().id);
+  if (!uses_tidlists()) return;
+  DEMON_CHECK(tidlists_.NumBlocks() == history_.size());
   for (size_t b = 0; b < tidlists_.NumBlocks(); ++b) {
     // The pair set a block was materialized with depends on the model at
     // arrival time; record it verbatim (sorted for determinism) so restore
@@ -414,7 +451,7 @@ void BordersMaintainer::SaveState(persistence::Writer& w) const {
 }
 
 Status BordersMaintainer::LoadState(persistence::Reader& r) {
-  if (!blocks_.empty() || !model_.entries().empty()) {
+  if (!history_.empty() || !model_.entries().empty()) {
     return Status::FailedPrecondition(
         "BORDERS state can only be restored into a fresh maintainer");
   }
@@ -434,15 +471,16 @@ Status BordersMaintainer::LoadState(persistence::Reader& r) {
   }
   const size_t num_blocks = r.ReadLength(sizeof(uint32_t));
   if (!r.ok()) return r.status();
-  blocks_.reserve(num_blocks);
+  history_.reserve(num_blocks);
   for (size_t b = 0; b < num_blocks; ++b) {
     const BlockId id = r.ReadU32();
     if (!r.ok()) return r.status();
     DEMON_ASSIGN_OR_RETURN(auto block, source->transactions(id));
-    blocks_.push_back(std::move(block));
+    if (!uses_tidlists()) transactions_.push_back(block->Transactions());
+    history_.push_back(std::move(block));
   }
 
-  if (options_.strategy != CountingStrategy::kPtScan) {
+  if (uses_tidlists()) {
     for (size_t b = 0; b < num_blocks; ++b) {
       const size_t num_pairs = r.ReadLength(2 * sizeof(uint32_t));
       PairMaterializationSpec spec;
@@ -451,7 +489,7 @@ Status BordersMaintainer::LoadState(persistence::Reader& r) {
         const Item a = r.ReadU32();
         const Item c = r.ReadU32();
         if (!r.ok()) return r.status();
-        // Build indexes its item lists by both items of a distinct pair.
+        // The pair lists index item lists by both items of a distinct pair.
         if (a == c || a >= options_.num_items || c >= options_.num_items) {
           return Status::DataLoss("checkpointed pair (" + std::to_string(a) +
                                   ", " + std::to_string(c) +
@@ -463,9 +501,7 @@ Status BordersMaintainer::LoadState(persistence::Reader& r) {
       if (!r.ok()) return r.status();
       // The recorded pairs already respect the budget that applied at
       // arrival time, so rebuild them all (unbounded budget).
-      tidlists_.Append(BlockTidLists::Build(
-          *blocks_[b], options_.num_items,
-          spec.pairs.empty() ? nullptr : &spec));
+      AppendTidLists(*history_[b], spec.pairs.empty() ? nullptr : &spec);
     }
   }
   model_ = std::move(model);

@@ -10,6 +10,7 @@
 #include "itemsets/itemset_model.h"
 #include "itemsets/support_counting.h"
 #include "persistence/serializer.h"
+#include "tidlist/history_block.h"
 #include "tidlist/tidlist_store.h"
 
 namespace demon {
@@ -50,6 +51,13 @@ struct BordersOptions {
 /// (RemoveOldestBlock), which is what the direct most-recent-window
 /// maintainer AuM of §3.2.4 needs; GEMM does not use deletions.
 ///
+/// Blocks arrive as shared HistoryBlocks. An ECUT/ECUT+ maintainer shares
+/// each block's item TID-lists with every other consumer of the block and
+/// keeps no reference to its flat records — it reads them only while the
+/// block is added, and has a dropped block transposed back when it
+/// deletes the block or re-mines from scratch; ECUT+ adds its own pair
+/// lists. A PT-Scan maintainer scans records, so it holds every flat block.
+///
 /// Copying a maintainer deep-copies the model but shares the immutable
 /// block data and TID-lists. GEMM never copies one: it keeps w
 /// maintainers and recycles the retiring window's through Reset().
@@ -73,7 +81,13 @@ class BordersMaintainer {
 
   explicit BordersMaintainer(const BordersOptions& options);
 
-  /// Adds a selected block and brings the model up to date.
+  /// Adds a selected block and brings the model up to date. The block's
+  /// records must be live (held by the caller or by `block` itself); its
+  /// item lists are built here unless another consumer built them.
+  void AddBlock(std::shared_ptr<const HistoryBlock> block);
+
+  /// Adds a block no other consumer shares: wraps it in a history block
+  /// of its own, whose item lists this maintainer builds.
   void AddBlock(std::shared_ptr<const TransactionBlock> block);
 
   /// Returns to the state of a maintainer freshly constructed with
@@ -95,8 +109,8 @@ class BordersMaintainer {
   /// Block ids currently contributing to the model, in addition order.
   std::vector<BlockId> BlockIds() const {
     std::vector<BlockId> ids;
-    ids.reserve(blocks_.size());
-    for (const auto& block : blocks_) ids.push_back(block->info().id);
+    ids.reserve(history_.size());
+    for (const auto& block : history_) ids.push_back(block->info().id);
     return ids;
   }
 
@@ -113,7 +127,9 @@ class BordersMaintainer {
   /// Binds `registry` (not owned; nullable) for phase spans
   /// ("tidlist-build" / "borders-detect" / "borders-update"), the
   /// `borders/{detection,update}_seconds` histograms, the
-  /// `borders/revived_candidates` counter, and — forwarded to
+  /// `borders/revived_candidates` counter, the `tidlist/builds` counter
+  /// (item-list builds this maintainer ran; blocks whose lists another
+  /// consumer built are not counted), and — forwarded to
   /// the counting kernel — per-shard counting spans and counters. The
   /// UpdateStats timings remain available in every build; the histograms
   /// and spans are DEMON_TELEMETRY-gated.
@@ -132,14 +148,17 @@ class BordersMaintainer {
           registry == nullptr
               ? nullptr
               : registry->counter("borders/revived_candidates");
+      builds_counter_ =
+          registry == nullptr ? nullptr : registry->counter("tidlist/builds");
     }
   }
 
   /// Deep audit at a block boundary: the model's BORDERS invariants
   /// (closure, negative border, flag/count consistency), the TID-list
   /// store's structural invariants, and the cross-structure bookkeeping
-  /// (one TID-list block per transaction block of matching size; the
-  /// model's transaction total equal to the blocks' sum). Appends
+  /// (one TID-list block per history block of matching size, whose item
+  /// extent is the history block's own — `borders/shared-item-extent`;
+  /// the model's transaction total equal to the blocks' sum). Appends
   /// violations to `audit`.
   void AuditInto(audit::AuditResult* audit) const;
 
@@ -161,14 +180,15 @@ class BordersMaintainer {
 
   /// Restores state saved by SaveState into a freshly constructed
   /// maintainer with the same options. Selected blocks are re-acquired
-  /// through the Reader's transaction BlockSource and their TID-lists
-  /// rebuilt with the recorded pair sets.
+  /// through the Reader's transaction BlockSource; their item lists are
+  /// shared (or built) and ECUT+ pair lists rebuilt with the recorded pair
+  /// sets.
   [[nodiscard]] Status LoadState(persistence::Reader& r);
 
   const ItemsetModel& model() const { return model_; }
   const BordersOptions& options() const { return options_; }
   const UpdateStats& last_stats() const { return last_stats_; }
-  size_t NumBlocks() const { return blocks_.size(); }
+  size_t NumBlocks() const { return history_.size(); }
   const TidListStore& tidlist_store() const { return tidlists_; }
 
  private:
@@ -197,9 +217,22 @@ class BordersMaintainer {
   /// (k-1)-subset holding it; false when no row does.
   bool Revive(const Itemset& candidate, uint64_t* count);
 
+  /// Appends `block`'s TID-lists to the store: its shared item lists, plus
+  /// for ECUT+ the pairs `spec` requests (none when null).
+  void AppendTidLists(const HistoryBlock& block,
+                      const PairMaterializationSpec* spec);
+
+  bool uses_tidlists() const {
+    return options_.strategy != CountingStrategy::kPtScan;
+  }
+
   BordersOptions options_;
   ItemsetModel model_;
-  std::vector<std::shared_ptr<const TransactionBlock>> blocks_;
+  /// The selected blocks, in addition order.
+  std::vector<std::shared_ptr<const HistoryBlock>> history_;
+  /// PT-Scan only: the selected blocks' flat records, which its scans
+  /// read (empty for ECUT/ECUT+, which read tidlists_).
+  std::vector<std::shared_ptr<const TransactionBlock>> transactions_;
   TidListStore tidlists_;
   UpdateStats last_stats_;
   /// Reusable (optionally parallel) support-counting kernel. Copies of a
@@ -210,6 +243,7 @@ class BordersMaintainer {
   telemetry::Histogram* detection_hist_ = nullptr;
   telemetry::Histogram* update_hist_ = nullptr;
   telemetry::Counter* revived_counter_ = nullptr;
+  telemetry::Counter* builds_counter_ = nullptr;
 };
 
 }  // namespace demon

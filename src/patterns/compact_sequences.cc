@@ -6,6 +6,7 @@
 #include "common/telemetry.h"
 #include "itemsets/model_io.h"
 #include "persistence/block_codec.h"
+#include "tidlist/history_block.h"
 
 namespace demon {
 
@@ -206,7 +207,7 @@ Status CompactSequenceMiner::LoadState(persistence::Reader& r) {
     const BlockId id = r.ReadU32();
     if (!r.ok()) return r.status();
     DEMON_ASSIGN_OR_RETURN(auto block, source->transactions(id));
-    blocks_.push_back(std::move(block));
+    blocks_.push_back(block->Transactions());
   }
   models_.resize(num_blocks);
   for (size_t i = 0; i < num_blocks; ++i) {

@@ -36,12 +36,21 @@ LabeledSchema ReadLabeledSchema(Reader& r) {
 }
 
 void WriteBlock(Writer& w, const TransactionBlock& block) {
-  WriteBlockInfo(w, block.info());
-  w.WriteU64(block.first_tid());
-  w.WriteU64(block.size());
-  for (const TransactionView t : block) {
-    w.WriteU64(t.size());
-    w.AppendRaw(t.data(), t.size() * sizeof(Item));
+  WriteTransactionBlock(w, block.info(), block.first_tid(), block.items(),
+                        block.ends());
+}
+
+void WriteTransactionBlock(Writer& w, const BlockInfo& info, Tid first_tid,
+                           const std::vector<Item>& items,
+                           const std::vector<uint32_t>& ends) {
+  WriteBlockInfo(w, info);
+  w.WriteU64(first_tid);
+  w.WriteU64(ends.size());
+  uint32_t begin = 0;
+  for (const uint32_t end : ends) {
+    w.WriteU64(end - begin);
+    w.AppendRaw(items.data() + begin, (end - begin) * sizeof(Item));
+    begin = end;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "data/block.h"
@@ -12,15 +13,20 @@
 #include "dtree/labeled_block.h"
 #include "persistence/serializer.h"
 
+namespace demon {
+class HistoryBlock;
+}  // namespace demon
+
 namespace demon::persistence {
 
 /// \brief Resolver handed to `ModelMaintainer::LoadState` (via the Reader)
 /// so maintainers can re-acquire shared pointers to the immutable blocks
 /// they referenced at save time instead of duplicating block data inside
 /// their own state. The checkpoint loader points these at the restored
-/// snapshots.
+/// snapshots; transaction blocks resolve to the monitor's shared history
+/// blocks, so restored maintainers share item lists as live ones do.
 struct BlockSource {
-  std::function<Result<std::shared_ptr<const TransactionBlock>>(BlockId)>
+  std::function<Result<std::shared_ptr<const HistoryBlock>>(BlockId)>
       transactions;
   std::function<Result<std::shared_ptr<const PointBlock>>(BlockId)> points;
   std::function<Result<std::shared_ptr<const LabeledBlock>>(BlockId)> labeled;
@@ -37,6 +43,11 @@ LabeledSchema ReadLabeledSchema(Reader& r);
 // constructors DEMON_CHECK their invariants; corrupt input must latch a
 // DataLoss on the Reader instead of aborting the process).
 void WriteBlock(Writer& w, const TransactionBlock& block);
+/// The bytes WriteBlock writes for the block whose flat parts (see
+/// TransactionBlock) these are — for writers holding records as arrays.
+void WriteTransactionBlock(Writer& w, const BlockInfo& info, Tid first_tid,
+                           const std::vector<Item>& items,
+                           const std::vector<uint32_t>& ends);
 void WriteBlock(Writer& w, const PointBlock& block);
 void WriteBlock(Writer& w, const LabeledBlock& block);
 void ReadBlockInto(Reader& r, TransactionBlock* block);
@@ -44,6 +55,8 @@ void ReadBlockInto(Reader& r, PointBlock* block);
 void ReadBlockInto(Reader& r, LabeledBlock* block);
 
 /// Serializes a snapshot: latest id, then the retained blocks in id order.
+/// A monitor's TransactionHistory is written through the WriteBlock of
+/// tidlist/history_block.h, in the same bytes as its flat blocks.
 template <typename BlockT>
 void WriteSnapshot(Writer& w, const Snapshot<BlockT>& snapshot) {
   w.WriteU64(snapshot.latest_id());

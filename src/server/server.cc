@@ -92,10 +92,34 @@ void DemonServer::AcceptLoop(int listen_fd) {
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     telemetry_.counter("server/connections")->Increment();
-    MutexLock lock(mutex_);
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { ServeConnection(fd); });
+    std::vector<std::thread> done;
+    {
+      MutexLock lock(mutex_);
+      TakeFinishedLocked(&done);
+      connection_fds_.push_back(fd);
+      connections_.emplace_back([this, fd] { ServeConnection(fd); });
+    }
+    // A finished thread has nothing left to do but return.
+    for (std::thread& t : done) t.join();
   }
+}
+
+void DemonServer::TakeFinishedLocked(std::vector<std::thread>* done) {
+  for (const std::thread::id id : finished_) {
+    for (size_t i = 0; i < connections_.size(); ++i) {
+      if (connections_[i].get_id() == id) {
+        done->push_back(std::move(connections_[i]));
+        connections_.erase(connections_.begin() + i);
+        break;
+      }
+    }
+  }
+  finished_.clear();
+}
+
+size_t DemonServer::RetainedConnectionThreads() const {
+  MutexLock lock(mutex_);
+  return connections_.size();
 }
 
 void DemonServer::ServeConnection(int fd) {
@@ -143,6 +167,7 @@ void DemonServer::ServeConnection(int fd) {
       break;
     }
   }
+  finished_.push_back(std::this_thread::get_id());
 }
 
 Response DemonServer::Handle(const Request& request,
@@ -252,6 +277,7 @@ Status DemonServer::Stop() {
     // their fds and remove themselves from connection_fds_.
     for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
     connections.swap(connections_);
+    finished_.clear();
   }
   for (std::thread& t : connections) {
     if (t.joinable()) t.join();

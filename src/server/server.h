@@ -64,9 +64,19 @@ class DemonServer {
   telemetry::TelemetryRegistry* telemetry() { return &telemetry_; }
   TenantHost* host() { return host_.get(); }
 
+  /// Connection thread handles the server still holds: live connections
+  /// plus finished ones not yet joined. Each accept joins the finished
+  /// ones, so a long-lived server holds about as many handles as it has
+  /// open connections, not one per connection it ever served.
+  size_t RetainedConnectionThreads() const DEMON_EXCLUDES(mutex_);
+
  private:
   void AcceptLoop(int listen_fd);
   void ServeConnection(int fd);
+  /// Moves the finished connections' threads out of connections_ into
+  /// `*done`, for the caller to join once it has released the mutex.
+  void TakeFinishedLocked(std::vector<std::thread>* done)
+      DEMON_REQUIRES(mutex_);
   /// Dispatches one decoded request. `*shutdown_after_reply` is set for
   /// kShutdown so the caller sends the reply *before* the server begins
   /// tearing connections down.
@@ -81,10 +91,13 @@ class DemonServer {
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
 
-  Mutex mutex_;
+  mutable Mutex mutex_;
   CondVar shutdown_cv_;
   bool shutdown_requested_ DEMON_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> connections_ DEMON_GUARDED_BY(mutex_);
+  /// Ids of connection threads that have finished serving and only await
+  /// a join.
+  std::vector<std::thread::id> finished_ DEMON_GUARDED_BY(mutex_);
   /// Open connection fds, so Stop can shut them down to unblock reads.
   std::vector<int> connection_fds_ DEMON_GUARDED_BY(mutex_);
 };

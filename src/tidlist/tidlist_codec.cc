@@ -233,12 +233,28 @@ void MaterializeInto(const TidListView& view, TidList* out) {
       if (n > 0) std::memcpy(out->data(), view.data, n * sizeof(uint32_t));
       break;
     }
-    case TidEncoding::kDelta:
-      out->reserve(view.num_tids);
-      for (DeltaCursor cur(view); cur.valid; cur.Advance()) {
-        out->push_back(cur.value);
+    case TidEncoding::kDelta: {
+      // DeltaCursor's stream, unrolled for the one-byte gaps that
+      // dominate dense lists; garbage bytes still end it early.
+      out->resize(view.num_tids);
+      uint32_t* const values = out->data();
+      const uint8_t* p = view.data;
+      const uint8_t* const end = view.data + view.bytes;
+      uint32_t value = 0;
+      size_t n = 0;
+      for (; n < view.num_tids; ++n) {
+        uint32_t delta = 0;
+        if (p < end && *p < 0x80) {
+          delta = *p++;
+        } else if (!ReadVarint(&p, end, &delta)) {
+          break;
+        }
+        value += delta;
+        values[n] = value;
       }
+      out->resize(n);
       break;
+    }
   }
 }
 

@@ -13,9 +13,13 @@ namespace demon {
 // TidListLease
 
 void TidListLease::Release() {
-  if (block_ != nullptr) {
-    block_->Unpin();
-    block_ = nullptr;
+  if (own_ != nullptr) {
+    own_->Unpin();
+    own_ = nullptr;
+  }
+  if (items_ != nullptr) {
+    items_->Unpin();
+    items_ = nullptr;
   }
 }
 
@@ -47,26 +51,58 @@ std::shared_ptr<const BlockTidLists> BlockTidLists::Build(
 
   std::vector<std::pair<uint64_t, TidList>> pair_lists;
   if (pairs != nullptr) {
-    std::unordered_set<uint64_t> seen;
-    size_t used = 0;
-    for (const auto& [a, b] : pairs->pairs) {
-      DEMON_CHECK(a != b);
-      const uint64_t key = PairKey(a, b);
-      if (!seen.insert(key).second) continue;
-      TidList joint = Intersect(item_lists[a], item_lists[b]);
-      if (used + joint.size() > pairs->budget_slots) {
-        // Paper heuristic: take as many highest-priority 2-itemsets as fit.
-        continue;
-      }
-      used += joint.size();
-      pair_lists.emplace_back(key, std::move(joint));
-    }
-    lists->pair_list_slots_ = used;
+    pair_lists = lists->SelectPairs(
+        *pairs, [&item_lists](Item a, Item b, TidList* out) {
+          IntersectInto(item_lists[a], item_lists[b], out);
+        });
   }
-  std::sort(pair_lists.begin(), pair_lists.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
   lists->EncodePayload(item_lists, pair_lists);
   return lists;
+}
+
+std::shared_ptr<const BlockTidLists> BlockTidLists::WithPairs(
+    std::shared_ptr<const BlockTidLists> items,
+    const PairMaterializationSpec& pairs) {
+  DEMON_CHECK(items != nullptr && items->shared_items_ == nullptr);
+  auto lists = std::shared_ptr<BlockTidLists>(new BlockTidLists());
+  std::vector<std::pair<uint64_t, TidList>> pair_lists;
+  {
+    const TidListLease lease = items->Lease();
+    pair_lists = lists->SelectPairs(
+        pairs, [&items](Item a, Item b, TidList* out) {
+          IntersectInto(items->ItemView(a), items->ItemView(b), out);
+        });
+  }
+  if (pair_lists.empty()) return items;
+  lists->num_transactions_ = items->num_transactions_;
+  lists->shared_items_ = std::move(items);
+  lists->EncodePayload({}, pair_lists);
+  return lists;
+}
+
+template <typename Intersect>
+std::vector<std::pair<uint64_t, TidList>> BlockTidLists::SelectPairs(
+    const PairMaterializationSpec& pairs, const Intersect& intersect) {
+  std::vector<std::pair<uint64_t, TidList>> pair_lists;
+  std::unordered_set<uint64_t> seen;
+  size_t used = 0;
+  TidList joint;
+  for (const auto& [a, b] : pairs.pairs) {
+    DEMON_CHECK(a != b);
+    const uint64_t key = PairKey(a, b);
+    if (!seen.insert(key).second) continue;
+    intersect(a, b, &joint);
+    if (used + joint.size() > pairs.budget_slots) {
+      // Paper heuristic: take as many highest-priority 2-itemsets as fit.
+      continue;
+    }
+    used += joint.size();
+    pair_lists.emplace_back(key, joint);
+  }
+  pair_list_slots_ = used;
+  std::sort(pair_lists.begin(), pair_lists.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  return pair_lists;
 }
 
 void BlockTidLists::EncodePayload(
@@ -96,6 +132,7 @@ void BlockTidLists::EncodePayload(
   for (const auto& [key, list] : pair_lists) {
     pair_extents_.emplace(key, append(EncodeTidList(list)));
   }
+  encoded_bytes_ = payload.size();
   // A non-empty payload keeps `resident payload <=> payload_ != nullptr`
   // unconditional (empty vectors may hand out null data()).
   if (payload.empty()) payload.push_back(0);
@@ -109,13 +146,22 @@ BlockTidLists::~BlockTidLists() {
 }
 
 size_t BlockTidLists::ItemListSize(Item item) const {
-  DEMON_CHECK(item < items_.size());
-  return items_[item].count;
+  const BlockTidLists& lists = item_extent();
+  DEMON_CHECK(item < lists.items_.size());
+  return lists.items_[item].count;
 }
 
 TidEncoding BlockTidLists::ItemListEncoding(Item item) const {
-  DEMON_CHECK(item < items_.size());
-  return items_[item].encoding;
+  const BlockTidLists& lists = item_extent();
+  DEMON_CHECK(item < lists.items_.size());
+  return lists.items_[item].encoding;
+}
+
+size_t BlockTidLists::payload_bytes() const {
+  if (shared_items_ == nullptr) return payload_bytes_;
+  const size_t bytes =
+      (shared_items_->encoded_bytes_ + 7) / 8 * 8 + encoded_bytes_;
+  return bytes == 0 ? 1 : bytes;
 }
 
 bool BlockTidLists::HasPairList(Item a, Item b) const {
@@ -138,7 +184,8 @@ std::vector<std::pair<Item, Item>> BlockTidLists::MaterializedPairs() const {
 }
 
 size_t BlockTidLists::EncodingCensus(TidEncoding encoding) const {
-  size_t n = 0;
+  size_t n = shared_items_ != nullptr ? shared_items_->EncodingCensus(encoding)
+                                      : 0;
   for (const Extent& ex : items_) n += ex.encoding == encoding ? 1 : 0;
   for (const auto& [key, ex] : pair_extents_) {
     n += ex.encoding == encoding ? 1 : 0;
@@ -161,8 +208,9 @@ TidListView BlockTidLists::ViewOf(const Extent& extent) const {
 }
 
 TidListView BlockTidLists::ItemView(Item item) const {
-  DEMON_CHECK(item < items_.size());
-  return ViewOf(items_[item]);
+  const BlockTidLists& lists = item_extent();
+  DEMON_CHECK(item < lists.items_.size());
+  return lists.ViewOf(lists.items_[item]);
 }
 
 TidListView BlockTidLists::PairView(Item a, Item b) const {
@@ -185,14 +233,14 @@ TidList BlockTidLists::MaterializePairList(Item a, Item b) const {
   return out;
 }
 
-const BlockTidLists* BlockTidLists::Pin() const {
-  if (pager_ == nullptr) return nullptr;  // unmanaged: always resident
+bool BlockTidLists::Pin() const {
+  if (pager_ == nullptr) return false;  // unmanaged: always resident
   // The increment is ordered before EnsureResident's residency check under
   // the pager mutex, so an evictor that misses this pin is followed by a
   // fault-in before any view is taken.
   pins_.fetch_add(1, std::memory_order_acq_rel);
   pager_->EnsureResident(this);
-  return this;
+  return true;
 }
 
 void BlockTidLists::Unpin() const {
@@ -200,7 +248,8 @@ void BlockTidLists::Unpin() const {
 }
 
 void BlockTidLists::AttachPager(std::shared_ptr<ExtentPager> pager) const {
-  if (pager_ != nullptr || pager == nullptr) return;
+  if (pager_decided_.exchange(true, std::memory_order_acq_rel)) return;
+  if (pager == nullptr) return;
   pager_ = std::move(pager);
   pager_->Adopt(this);
 }
@@ -242,7 +291,7 @@ void BlockTidLists::ReleasePayload(const ExtentPager& pager) const {
 }
 
 void BlockTidLists::SetItemListForTest(Item item, const TidList& list) {
-  DEMON_CHECK(item < items_.size());
+  DEMON_CHECK(shared_items_ == nullptr && item < items_.size());
   TidListLease lease = Lease();
   const size_t old_bytes = payload_bytes_;
   std::vector<TidList> item_lists(items_.size());
@@ -323,6 +372,7 @@ void AuditOneList(const std::string& label, const TidList& list,
 }  // namespace
 
 void BlockTidLists::AuditInto(audit::AuditResult* audit) const {
+  if (shared_items_ != nullptr) shared_items_->AuditInto(audit);
   TidListLease lease = Lease();
   size_t item_slots = 0;
   TidList decoded;
@@ -376,9 +426,9 @@ void BlockTidLists::AuditInto(audit::AuditResult* audit) const {
     const std::string label = audit::Msg() << "pair {" << a << "," << b
                                            << "} list";
     AUDIT_CHECK(audit, kModule, "tidlist/pair-key",
-                a < b && b < items_.size(),
+                a < b && b < num_items(),
                 audit::Msg() << label << " has a malformed key", "");
-    if (a >= b || b >= items_.size()) continue;
+    if (a >= b || b >= num_items()) continue;
     AuditOneList(label, decoded, num_transactions_, audit);
     AUDIT_CHECK(audit, kModule, "tidlist/directory-count",
                 decoded.size() == ex.count,
@@ -387,8 +437,8 @@ void BlockTidLists::AuditInto(audit::AuditResult* audit) const {
                 DumpList(decoded));
     // Store/index consistency: a materialized pair list must equal the
     // intersection of its item lists — ECUT+ serves either interchangeably.
-    MaterializeInto(ViewOf(items_[a]), &item_a);
-    MaterializeInto(ViewOf(items_[b]), &item_b);
+    MaterializeInto(ItemView(a), &item_a);
+    MaterializeInto(ItemView(b), &item_b);
     if (decoded != Intersect(item_a, item_b)) {
       AUDIT_FAIL(audit, kModule, "tidlist/pair-is-intersection",
                  audit::Msg() << label
@@ -441,7 +491,10 @@ TidListStore::TidListStore(const TidListStoreOptions& options) {
 }
 
 void TidListStore::Append(std::shared_ptr<const BlockTidLists> block) {
-  if (pager_ != nullptr) block->AttachPager(pager_);
+  block->AttachPager(pager_);
+  if (block->shared_items_ != nullptr) {
+    block->shared_items_->AttachPager(pager_);
+  }
   blocks_.push_back(std::move(block));
 }
 

@@ -39,19 +39,24 @@ struct PairMaterializationSpec {
 
 /// \brief RAII pin on one block's payload: while any lease is live the
 /// block's extents stay resident, so every TidListView taken from the
-/// block remains valid. Cheap (two relaxed atomic ops) when the block is
-/// unmanaged — the unbounded default.
+/// block remains valid. A block whose pair lists sit over a shared item
+/// extent pins both. Free when the block is unmanaged — the unbounded
+/// default.
 class TidListLease {
  public:
   TidListLease() = default;
-  TidListLease(TidListLease&& other) noexcept : block_(other.block_) {
-    other.block_ = nullptr;
+  TidListLease(TidListLease&& other) noexcept
+      : own_(other.own_), items_(other.items_) {
+    other.own_ = nullptr;
+    other.items_ = nullptr;
   }
   TidListLease& operator=(TidListLease&& other) noexcept {
     if (this != &other) {
       Release();
-      block_ = other.block_;
-      other.block_ = nullptr;
+      own_ = other.own_;
+      items_ = other.items_;
+      other.own_ = nullptr;
+      other.items_ = nullptr;
     }
     return *this;
   }
@@ -63,8 +68,11 @@ class TidListLease {
 
  private:
   friend class BlockTidLists;
-  explicit TidListLease(const BlockTidLists* block) : block_(block) {}
-  const BlockTidLists* block_ = nullptr;
+  TidListLease(const BlockTidLists* own, const BlockTidLists* items)
+      : own_(own), items_(items) {}
+  /// The payloads this lease pinned (null: not managed, nothing pinned).
+  const BlockTidLists* own_ = nullptr;
+  const BlockTidLists* items_ = nullptr;
 };
 
 /// \brief Immutable TID-list representation of one block: one encoded list
@@ -73,11 +81,13 @@ class TidListLease {
 /// Lists hold block-local offsets; by the additivity and 0/1 properties,
 /// per-block lists are built once when the block arrives and never change.
 /// The item lists occupy exactly as many slots as the transactional
-/// representation of the block. The paper lets them *replace* that
-/// representation; here the snapshot still holds the flat block (PT-Scan,
-/// checkpoints and the WAL read it), so each maintainer's lists are a
-/// second copy of the same slots. Pair lists are the "additional disk
-/// space" of ECUT+.
+/// representation of the block, and replace it (paper §3.1.1): a block's
+/// item lists are built once, by its HistoryBlock, and every maintainer
+/// shares that one *item extent* — the flat block is dropped once no
+/// record-reading consumer holds it. Pair lists are the "additional disk
+/// space" of ECUT+ and depend on the maintainer's model, so an ECUT+
+/// maintainer keeps them in an extent of its own (WithPairs) that answers
+/// item queries from the shared item extent.
 ///
 /// Storage tiers: each list is encoded (raw or delta+varint, whichever is
 /// smaller — see tidlist_codec.h) into one contiguous per-block payload
@@ -96,13 +106,28 @@ class BlockTidLists {
       const TransactionBlock& block, size_t num_items,
       const PairMaterializationSpec* pairs = nullptr);
 
+  /// The pair lists `pairs` requests for the block `items` holds the item
+  /// lists of, intersected from those lists, in an extent of their own
+  /// that shares `items` for every item query. Returns `items` itself when
+  /// no pair is materialized (nothing requested, or nothing fits).
+  /// `items` must hold its own item lists.
+  static std::shared_ptr<const BlockTidLists> WithPairs(
+      std::shared_ptr<const BlockTidLists> items,
+      const PairMaterializationSpec& pairs);
+
   ~BlockTidLists();
 
   BlockTidLists(const BlockTidLists&) = delete;
   BlockTidLists& operator=(const BlockTidLists&) = delete;
 
   size_t num_transactions() const { return num_transactions_; }
-  size_t num_items() const { return items_.size(); }
+  size_t num_items() const { return item_extent().items_.size(); }
+
+  /// The extent holding the item lists: this block's own, or the shared
+  /// one its pair lists were built over.
+  const BlockTidLists& item_extent() const {
+    return shared_items_ != nullptr ? *shared_items_ : *this;
+  }
 
   // --- directory queries: always resident, never touch the payload ------
 
@@ -120,23 +145,36 @@ class BlockTidLists {
   std::vector<std::pair<Item, Item>> MaterializedPairs() const;
   /// Slots (uint32 entries) occupied by the item lists == total item
   /// occurrences of the block.
-  size_t item_list_slots() const { return item_list_slots_; }
+  size_t item_list_slots() const { return item_extent().item_list_slots_; }
   /// Extra slots occupied by materialized pair lists.
   size_t pair_list_slots() const { return pair_list_slots_; }
-  /// Encoded payload size in bytes — the unit of the pager's byte budget.
-  size_t payload_bytes() const { return payload_bytes_; }
-  /// Number of lists stored under `encoding` (diagnostics / benches).
+  /// Encoded bytes of the block's item and pair lists, counted as one
+  /// payload: the item lists, then the pair lists from the next 8-byte
+  /// boundary — the same figure whether the pair lists share the item
+  /// extent's payload or sit over a shared one. For a block holding its
+  /// own item lists, this is its payload, the unit of the pager's budget.
+  size_t payload_bytes() const;
+  /// Number of item and pair lists stored under `encoding` (diagnostics /
+  /// benches).
   size_t EncodingCensus(TidEncoding encoding) const;
 
   // --- payload access: hold a Lease across any use of views -------------
 
-  /// Pins the payload resident (faulting it in if evicted) until the lease
-  /// is released. No-op for unmanaged blocks.
-  TidListLease Lease() const { return TidListLease(Pin()); }
+  /// Pins the payload — and a shared item extent's — resident (faulting
+  /// it in if evicted) until the lease is released. No-op for unmanaged
+  /// blocks.
+  TidListLease Lease() const {
+    const BlockTidLists* own = Pin() ? this : nullptr;
+    const BlockTidLists* items =
+        shared_items_ != nullptr && shared_items_->Pin() ? shared_items_.get()
+                                                         : nullptr;
+    return TidListLease(own, items);
+  }
 
   /// Advisory: payload currently in memory? (Unmanaged blocks: always.)
   bool resident() const {
-    return payload_.load(std::memory_order_relaxed) != nullptr;
+    return payload_.load(std::memory_order_relaxed) != nullptr &&
+           (shared_items_ == nullptr || shared_items_->resident());
   }
 
   /// View of item's encoded list. Valid only while a lease is held.
@@ -153,12 +191,13 @@ class BlockTidLists {
   /// every decoded list sorted strictly increasing with offsets in range,
   /// directory cardinalities exact, slot accounting exact, every
   /// materialized pair list equal to the intersection of its item lists,
-  /// and sampled cross-encoding kernel agreement. Appends violations to
-  /// `audit`.
+  /// and sampled cross-encoding kernel agreement. A shared item extent is
+  /// audited too. Appends violations to `audit`.
   void AuditInto(audit::AuditResult* audit) const;
 
   /// Test-only: replaces item's list (re-encoded raw so arbitrary corrupt
-  /// contents survive verbatim) and rebuilds the payload, so
+  /// contents survive verbatim) and rebuilds the payload — of a block that
+  /// holds its own item lists — so
   /// corruption-injection tests can break an invariant and assert the
   /// auditor reports it. Slot accounting is intentionally left stale.
   /// Analysis is off: the payload members are nominally pager-guarded, but
@@ -169,6 +208,7 @@ class BlockTidLists {
 
  private:
   friend class ExtentPager;
+  friend class HistoryBlock;
   friend class TidListLease;
   friend class TidListStore;
 
@@ -190,6 +230,14 @@ class BlockTidLists {
   uint32_t universe() const { return static_cast<uint32_t>(num_transactions_); }
   TidListView ViewOf(const Extent& extent) const;
 
+  /// The ECUT+ heuristic shared by Build and WithPairs: takes the
+  /// requested pairs in priority order while they fit the budget, each
+  /// list computed by `intersect(a, b, &out)`. Returns them sorted by key
+  /// and sets pair_list_slots_.
+  template <typename Intersect>
+  std::vector<std::pair<uint64_t, TidList>> SelectPairs(
+      const PairMaterializationSpec& pairs, const Intersect& intersect);
+
   /// Encodes `item_lists` and `pair_lists` (sorted by key) into the
   /// directory + contiguous payload. `force_raw_item` (when < num items)
   /// pins that item's encoding to raw — the corruption-injection hook.
@@ -202,9 +250,14 @@ class BlockTidLists {
       const std::vector<std::pair<uint64_t, TidList>>& pair_lists,
       size_t force_raw_item = SIZE_MAX) DEMON_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Pager plumbing. Pin/Unpin are cheap no-ops when pager_ is null.
-  const BlockTidLists* Pin() const;
+  // Pager plumbing, for this object's own payload. Pin is a cheap no-op
+  // returning false when pager_ is null.
+  bool Pin() const;
   void Unpin() const;
+  /// Decides the pager once: the first call binds `pager` (or none, when
+  /// null) and every later call is a no-op. TidListStore::Append calls it
+  /// for a block it is the first to hold; a HistoryBlock calls it before
+  /// publishing its item extent, so no thread ever sees the pager change.
   void AttachPager(std::shared_ptr<ExtentPager> pager) const;
 
   // Payload state transitions, called only by the owning pager with its
@@ -227,15 +280,22 @@ class BlockTidLists {
       DEMON_REQUIRES(pager.mutex_);
 
   size_t num_transactions_ = 0;
+  /// The shared item extent the pair lists were built over (WithPairs);
+  /// null when this object holds its own item lists in items_.
+  std::shared_ptr<const BlockTidLists> shared_items_;
   std::vector<Extent> items_;
   std::unordered_map<uint64_t, Extent> pair_extents_;
   size_t item_list_slots_ = 0;
   size_t pair_list_slots_ = 0;
+  /// Bytes of the payload holding lists, and the payload's size (one more
+  /// when there are none: a resident payload is never empty).
+  size_t encoded_bytes_ = 0;
   size_t payload_bytes_ = 0;
 
-  /// Attached (once) by TidListStore::Append when the store has a pager;
-  /// never detached. Mutable: paging is caching state on a logically
-  /// immutable block.
+  /// Bound at most once, by the first AttachPager (see there); never
+  /// detached. Mutable: paging is caching state on a logically immutable
+  /// block.
+  mutable std::atomic<bool> pager_decided_{false};
   mutable std::shared_ptr<ExtentPager> pager_;
   /// Payload backing storage while resident. Written only by the
   /// pager-mutex transitions above — the annotation names the mutex
@@ -259,9 +319,10 @@ class TidListStore {
   /// A store with an explicit memory budget; 0 = unbounded (no pager).
   explicit TidListStore(const TidListStoreOptions& options);
 
-  /// Appends a block, attaching it to this store's pager (if any and the
-  /// block is not yet managed — blocks shared across store copies keep
-  /// their first pager).
+  /// Appends a block, attaching it (and a shared item extent under it) to
+  /// this store's pager when this store is the first to hold it. Blocks
+  /// shared across stores — store copies, or the item extent every
+  /// maintainer of a monitor shares — keep the pager of the first.
   void Append(std::shared_ptr<const BlockTidLists> block);
 
   /// Drops the `count` oldest blocks (AuM-style deletion support).

@@ -520,8 +520,8 @@ TEST(BordersTest, RetiredRowsAreNotCheckpointed) {
   const auto blocks = OscillatingBlocks(6);
   persistence::BlockSource source;
   source.transactions = [&](BlockId id)
-      -> Result<std::shared_ptr<const TransactionBlock>> {
-    return blocks.at(id);
+      -> Result<std::shared_ptr<const HistoryBlock>> {
+    return std::make_shared<const HistoryBlock>(blocks.at(id));
   };
   const auto save = [](const BordersMaintainer& maintainer) {
     persistence::Writer w;

@@ -362,6 +362,93 @@ TEST(CheckpointRestoreTest, CheckpointBytesAreDeterministic) {
   EXPECT_EQ(a.value(), b.value());
 }
 
+// An ECUT-only monitor drops each block's flat records once its item lists
+// exist, so its checkpoint writes blocks transposed back from the lists.
+// The bytes must equal those of a run whose PT-Scan monitor kept every
+// flat block — the snapshot and the shared monitor's section alike — and
+// the checkpoint must restore to the same models.
+TEST(CheckpointRestoreTest, DroppedBlocksCheckpointAsTheyWereKept) {
+  constexpr size_t kItems = 40;
+  std::vector<TransactionBlock> blocks = MakeTxBlocks(6, 150, kItems, 808);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    blocks[b].mutable_info()->label = "hour " + std::to_string(b);
+    blocks[b].mutable_info()->start_time = 3600 * static_cast<int64_t>(b);
+    blocks[b].mutable_info()->end_time = 3600 * static_cast<int64_t>(b + 1);
+  }
+  const MonitorSpec ecut_plus = {.kind = MonitorKind::kUnrestrictedItemsets,
+                                 .name = "uw-ecut-plus",
+                                 .minsup = 0.05,
+                                 .strategy = CountingStrategy::kEcutPlus};
+  const MonitorSpec windowed = {.kind = MonitorKind::kWindowedItemsets,
+                                .name = "mrw-ecut",
+                                .window = 3,
+                                .minsup = 0.05,
+                                .strategy = CountingStrategy::kEcut};
+  EngineOptions engine;
+  engine.num_threads = 2;
+
+  DemonMonitor dropped(kItems, engine);
+  ASSERT_TRUE(dropped.AddMonitor(ecut_plus).ok());
+  ASSERT_TRUE(dropped.AddMonitor(windowed).ok());
+  DemonMonitor kept(kItems, engine);
+  ASSERT_TRUE(kept.AddMonitor(ecut_plus).ok());
+  ASSERT_TRUE(kept.AddMonitor(windowed).ok());
+  ASSERT_TRUE(kept.AddMonitor({.kind = MonitorKind::kUnrestrictedItemsets,
+                               .name = "uw-ptscan",
+                               .minsup = 0.05,
+                               .strategy = CountingStrategy::kPtScan})
+                  .ok());
+  for (const TransactionBlock& block : blocks) {
+    dropped.AddBlock(block);
+    kept.AddBlock(block);
+  }
+  dropped.Quiesce();
+  kept.Quiesce();
+  for (BlockId id = 1; id <= blocks.size(); ++id) {
+    ASSERT_EQ(dropped.snapshot().block(id)->LiveTransactions(), nullptr);
+    ASSERT_NE(kept.snapshot().block(id)->LiveTransactions(), nullptr);
+  }
+
+  const std::string dropped_path = TempPath("dropped_blocks.ckpt");
+  const std::string kept_path = TempPath("kept_blocks.ckpt");
+  ASSERT_TRUE(dropped.Checkpoint(dropped_path).ok());
+  ASSERT_TRUE(kept.Checkpoint(kept_path).ok());
+  auto a = persistence::ReadPayloadFile(dropped_path,
+                                        persistence::FormatId::kCheckpoint, 2);
+  auto b = persistence::ReadPayloadFile(kept_path,
+                                        persistence::FormatId::kCheckpoint, 2);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+
+  // Both open with the snapshot of the blocks as they arrived.
+  persistence::Writer prefix;
+  prefix.WriteU64(kItems);
+  TransactionSnapshot arrived;
+  for (const TransactionBlock& block : blocks) arrived.Append(block);
+  persistence::WriteSnapshot(prefix, arrived);
+  persistence::WriteSnapshot(prefix, PointSnapshot());
+  persistence::WriteSnapshot(prefix, LabeledSnapshot());
+  const size_t p = prefix.buffer().size();
+  ASSERT_GT(a.value().size(), p + 8);
+  EXPECT_EQ(a.value().substr(0, p), prefix.buffer());
+  EXPECT_EQ(b.value().substr(0, p), prefix.buffer());
+  // Then the monitor count (2 and 3), and the two shared monitors' specs
+  // and states, byte for byte.
+  const std::string monitors = a.value().substr(p + 8);
+  EXPECT_EQ(b.value().substr(p + 8, monitors.size()), monitors);
+
+  auto restored = DemonMonitor::Restore(dropped_path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectMonitorsEqual(*restored.value(), dropped);
+  for (size_t id = 0; id < dropped.NumMonitors(); ++id) {
+    ExpectItemsetModelsEqual(*restored.value()->ItemsetModelOf(id).value(),
+                             *kept.ItemsetModelOf(id).value());
+  }
+  // Restored blocks drop their records too, once the monitors are back.
+  EXPECT_EQ(restored.value()->snapshot().block(1)->LiveTransactions(),
+            nullptr);
+}
+
 // Specs survive the round trip, so a deployment can rediscover its
 // monitors by kind/name after a restore.
 TEST(CheckpointRestoreTest, SpecsSurviveRestore) {

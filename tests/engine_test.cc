@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/audit.h"
 #include "core/demon_monitor.h"
 #include "datagen/cluster_generator.h"
 #include "datagen/labeled_generator.h"
@@ -391,6 +392,121 @@ TEST(EngineDeferTest, QuiesceDrainsDeferredGemmUpdates) {
   EXPECT_EQ(stats.blocks_routed, 5u);
   EXPECT_GE(stats.response_seconds, 0.0);
   EXPECT_GE(stats.offline_seconds, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// One history per monitor.
+
+// The mrw-drift shape — an unrestricted ECUT monitor next to a windowed
+// (w = 3) one, whose current and future window models absorb each block
+// on engine threads and in GEMM's concurrent drain — builds each block's
+// item lists exactly once, and every maintainer reads that one extent.
+TEST(SharedHistoryTest, EachBlockIsBuiltOnce) {
+  if (!telemetry::kEnabled) GTEST_SKIP() << "counters compiled out";
+  const size_t num_items = 30;
+  const auto blocks = MakeTxBlocks(9, 150, num_items, 96);
+  for (const size_t threads : {size_t{0}, size_t{4}}) {
+    for (const bool defer : {false, true}) {
+      SCOPED_TRACE(std::to_string(threads) + (defer ? " deferred" : ""));
+      EngineOptions options;
+      options.num_threads = threads;
+      options.defer_offline = defer && threads > 0;
+      DemonMonitor demon(num_items, options);
+      ASSERT_TRUE(demon
+                      .AddMonitor({.kind = MonitorKind::kUnrestrictedItemsets,
+                                   .name = "uw-ecut",
+                                   .minsup = 0.05,
+                                   .strategy = CountingStrategy::kEcut})
+                      .ok());
+      ASSERT_TRUE(demon
+                      .AddMonitor({.kind = MonitorKind::kWindowedItemsets,
+                                   .name = "mrw-ecut",
+                                   .window = 3,
+                                   .minsup = 0.05,
+                                   .strategy = CountingStrategy::kEcut})
+                      .ok());
+      for (const TransactionBlock& block : blocks) demon.AddBlock(block);
+      demon.Quiesce();
+      EXPECT_EQ(demon.telemetry()->counter("tidlist/builds")->value(),
+                blocks.size());
+      // borders/shared-item-extent: every maintainer's item extents are
+      // the snapshot's own.
+      for (DemonMonitor::MonitorId id = 0; id < demon.NumMonitors(); ++id) {
+        audit::AuditResult audit;
+        demon.engine().MaintainerOf(id).value()->AuditInvariants(&audit);
+        EXPECT_TRUE(audit.ok()) << audit.ToString();
+      }
+      audit::AuditResult history;
+      demon.AuditInto(&history);
+      EXPECT_TRUE(history.ok()) << history.ToString();
+    }
+  }
+}
+
+// An ECUT-only monitor set lets each block's flat records go once the
+// engine has absorbed the block; a PT-Scan monitor keeps them.
+TEST(SharedHistoryTest, FlatBlocksLiveOnlyWhereRecordsAreRead) {
+  const size_t num_items = 30;
+  const auto blocks = MakeTxBlocks(5, 150, num_items, 97);
+  BordersOptions ecut;
+  ecut.minsup = 0.05;
+  ecut.num_items = num_items;
+  ecut.strategy = CountingStrategy::kEcut;
+  BordersOptions ptscan = ecut;
+  ptscan.strategy = CountingStrategy::kPtScan;
+  for (const bool with_ptscan : {false, true}) {
+    SCOPED_TRACE(with_ptscan ? "with PT-Scan" : "ECUT only");
+    EngineOptions options;
+    options.num_threads = 2;
+    options.defer_offline = true;
+    MaintenanceEngine engine(options);
+    engine.Register("uw-ecut", std::make_unique<BordersAdapter>(ecut));
+    engine.Register("mrw-ecut",
+                    std::make_unique<GemmItemsetAdapter>(
+                        BlockSelectionSequence::AllBlocks(), 3, ecut));
+    if (with_ptscan) {
+      engine.Register("uw-ptscan", std::make_unique<BordersAdapter>(ptscan));
+    }
+    std::vector<std::shared_ptr<const HistoryBlock>> history;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      auto block = std::make_shared<TransactionBlock>(blocks[b]);
+      block->mutable_info()->id = static_cast<BlockId>(b + 1);
+      const std::weak_ptr<const TransactionBlock> weak = block;
+      history.push_back(std::make_shared<const HistoryBlock>(block));
+      engine.Dispatch(AnyBlock(history.back(), std::move(block)));
+      engine.Quiesce();
+      EXPECT_EQ(weak.expired(), !with_ptscan) << "block " << b + 1;
+      EXPECT_NE(history.back()->item_lists(), nullptr);
+    }
+  }
+
+  // The same through DemonMonitor, whose snapshot holds the history.
+  for (const bool with_ptscan : {false, true}) {
+    DemonMonitor demon(num_items);
+    ASSERT_TRUE(demon
+                    .AddMonitor({.kind = MonitorKind::kUnrestrictedItemsets,
+                                 .name = "uw-ecut",
+                                 .minsup = 0.05,
+                                 .strategy = CountingStrategy::kEcut})
+                    .ok());
+    if (with_ptscan) {
+      ASSERT_TRUE(demon
+                      .AddMonitor({.kind = MonitorKind::kUnrestrictedItemsets,
+                                   .name = "uw-ptscan",
+                                   .minsup = 0.05,
+                                   .strategy = CountingStrategy::kPtScan})
+                      .ok());
+    }
+    for (const TransactionBlock& block : blocks) demon.AddBlock(block);
+    demon.Quiesce();
+    for (BlockId id = 1; id <= blocks.size(); ++id) {
+      const auto live = demon.snapshot().block(id)->LiveTransactions();
+      EXPECT_EQ(live != nullptr, with_ptscan) << "block " << id;
+      if (live != nullptr) {
+        EXPECT_EQ(*live, blocks[id - 1]);
+      }
+    }
+  }
 }
 
 TEST(GemmDeferTest, BeginBlockUpdatesOnlyTheCurrentModel) {

@@ -460,6 +460,43 @@ TEST(AuMTest, AllOnesBssMatchesGemmModel) {
   }
 }
 
+// AuM over ECUT/ECUT+ deletes the block that just left its window. AuM's
+// window was the last holder of that block's flat records, so the
+// deletion reads them transposed back from the shared item lists — and
+// must still leave the model Apriori computes over the window.
+TEST(AuMTest, DeletingADroppedBlockMatchesApriori) {
+  const auto blocks = MakeDriftingBlocks(9, 120, 30, 52);
+  for (const CountingStrategy strategy :
+       {CountingStrategy::kEcut, CountingStrategy::kEcutPlus}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    BordersOptions options;
+    options.minsup = 0.06;
+    options.num_items = 30;
+    options.strategy = strategy;
+    const size_t w = 2;
+    AuMItemsetMaintainer aum(options, BlockSelectionSequence::AllBlocks(), w);
+    for (size_t t = 1; t <= blocks.size(); ++t) {
+      // A copy only AuM holds: once AuM's window lets go of it, nothing
+      // keeps the flat block alive.
+      aum.AddBlock(std::make_shared<const TransactionBlock>(*blocks[t - 1]));
+      if (t > w) {
+        EXPECT_EQ(aum.last_stats().blocks_removed, 1u);
+      }
+      const size_t start = t >= w ? t - w + 1 : 1;
+      const std::vector<TxBlockPtr> window(blocks.begin() + (start - 1),
+                                           blocks.begin() + t);
+      const ItemsetModel expected =
+          Apriori(window, options.minsup, options.num_items);
+      ASSERT_EQ(aum.model().entries().size(), expected.entries().size())
+          << "t=" << t;
+      for (const auto& [itemset, entry] : expected.entries()) {
+        EXPECT_EQ(aum.model().CountOf(itemset), entry.count);
+        EXPECT_EQ(aum.model().IsFrequent(itemset), entry.frequent);
+      }
+    }
+  }
+}
+
 TEST(AuMTest, AlternatingBssDegeneratesToFullReplacement) {
   // §3.2.4: with window-relative <1010> the selected sets of consecutive
   // windows are disjoint, so AuM replaces every block.

@@ -275,7 +275,8 @@ TEST(TenantStaging, StraddlingAppendsSealTheBlocksOfTheRecordStream) {
   for (BlockId id = 1; id <= 3; ++id) {
     const uint64_t first = (id - 1) * 5;
     const uint64_t last = std::min<uint64_t>(first + 5, stream.size());
-    EXPECT_EQ(*snapshot.block(id), TransactionBlock(batch(first, last), first))
+    EXPECT_EQ(*snapshot.block(id)->Transactions(),
+              TransactionBlock(batch(first, last), first))
         << "block " << id;
   }
   RemoveTree(dir);
@@ -396,6 +397,30 @@ TEST_F(ServerTest, PingCreateAppendStats) {
   Response host_stats = MustCall(connection, stats);
   EXPECT_EQ(host_stats.num_tenants, 1u);
   ASSERT_TRUE(server_->Stop().ok());
+}
+
+// A long-lived server joins finished connection threads as it accepts new
+// ones: a thousand short connections, one after another, leave a bounded
+// number of thread handles behind rather than a thousand.
+TEST_F(ServerTest, SequentialConnectionsAreReaped) {
+  StartServer("server_reap");
+  constexpr int kConnections = 1000;
+  size_t most_retained = 0;
+  for (int i = 0; i < kConnections; ++i) {
+    ClientConnection connection;
+    ASSERT_TRUE(connection.Connect("127.0.0.1", server_->port()).ok());
+    EXPECT_TRUE(MustCall(connection, Request{MsgType::kPing}).ok());
+    connection.Close();
+    most_retained =
+        std::max(most_retained, server_->RetainedConnectionThreads());
+  }
+  // Each accept reaps every connection that had finished by then; only
+  // threads still winding down after their client's close remain.
+  EXPECT_LE(most_retained, 64u);
+  EXPECT_EQ(server_->telemetry()->counter("server/connections")->value(),
+            static_cast<uint64_t>(kConnections));
+  ASSERT_TRUE(server_->Stop().ok());
+  EXPECT_EQ(server_->RetainedConnectionThreads(), 0u);
 }
 
 TEST_F(ServerTest, BadTenantNamesAndGapsAreRejected) {

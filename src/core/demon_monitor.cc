@@ -201,24 +201,31 @@ Status DemonMonitor::Checkpoint(const std::string& path) const {
   // Quiesce so deferred GEMM offline work has landed; the per-maintainer
   // MaintainerOf below quiesces again, which is then a no-op.
   engine_.Quiesce();
-  persistence::Writer w;
-  w.WriteU64(num_items_);
-  persistence::WriteSnapshot(w, snapshot_);
-  persistence::WriteSnapshot(w, points_);
-  persistence::WriteSnapshot(w, labeled_);
-  w.WriteU64(specs_.size());
+  persistence::Writer head;
+  head.WriteU64(num_items_);
+  persistence::WriteSnapshot(head, snapshot_);
+  persistence::WriteSnapshot(head, points_);
+  persistence::WriteSnapshot(head, labeled_);
+  head.WriteU64(specs_.size());
+  // Each maintainer's state is framed — its spec and length, then its
+  // bytes — so a corrupt section cannot bleed into its neighbor on load.
+  // Frames and states go to the file as parts of one gathered write: a
+  // copy of every state into one image would double the checkpoint's
+  // largest transient buffer.
+  std::vector<persistence::Writer> frames(specs_.size());
+  std::vector<persistence::Writer> states(specs_.size());
+  std::vector<std::string_view> parts = {head.buffer()};
   for (MonitorId id = 0; id < specs_.size(); ++id) {
-    SaveMonitorSpec(w, specs_[id]);
+    SaveMonitorSpec(frames[id], specs_[id]);
     DEMON_ASSIGN_OR_RETURN(const ModelMaintainer* maintainer,
                            engine_.MaintainerOf(id));
-    // Frame each maintainer's state so a corrupt section cannot bleed into
-    // its neighbor on load.
-    persistence::Writer state;
-    DEMON_RETURN_NOT_OK(maintainer->SaveState(state));
-    w.WriteString(state.buffer());
+    DEMON_RETURN_NOT_OK(maintainer->SaveState(states[id]));
+    frames[id].WriteU64(states[id].size());
+    parts.push_back(frames[id].buffer());
+    parts.push_back(states[id].buffer());
   }
   return persistence::WritePayloadFile(path, persistence::FormatId::kCheckpoint,
-                                       kCheckpointVersion, w);
+                                       kCheckpointVersion, parts);
 }
 
 Result<std::unique_ptr<DemonMonitor>> DemonMonitor::Restore(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -28,6 +29,19 @@ std::pair<size_t, size_t> ShardRange(size_t work, size_t shard,
   const size_t extra = work % shards;
   const size_t begin = shard * base + std::min(shard, extra);
   return {begin, begin + base + (shard < extra ? 1 : 0)};
+}
+
+// Orders itemsets by size, then items: the order in which candidates
+// sharing their first k-1 items sit next to each other.
+bool SizeThenItemsLess(const Itemset& a, const Itemset& b) {
+  return a.size() != b.size() ? a.size() < b.size() : a < b;
+}
+
+// True when `a` and `b` are one prefix group: the same size k and the
+// same first k-1 items (every 1-itemset shares the empty prefix).
+bool SamePrefix(const Itemset& a, const Itemset& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end() - 1, b.begin());
 }
 
 }  // namespace
@@ -57,23 +71,12 @@ void CountingContext::CacheMetrics() {
     lists_opened_ = nullptr;
     transactions_scanned_ = nullptr;
     itemsets_counted_ = nullptr;
-    for (auto& row : intersect_seconds_) {
-      for (auto& cell : row) cell = nullptr;
-    }
     return;
   }
   slots_fetched_ = telemetry_->counter("counting/slots_fetched");
   lists_opened_ = telemetry_->counter("counting/lists_opened");
   transactions_scanned_ = telemetry_->counter("counting/transactions_scanned");
   itemsets_counted_ = telemetry_->counter("counting/itemsets_counted");
-  for (uint8_t a = 0; a < kNumTidEncodings; ++a) {
-    for (uint8_t b = 0; b < kNumTidEncodings; ++b) {
-      intersect_seconds_[a][b] = telemetry_->histogram(
-          std::string("counting/intersect_seconds_") +
-          TidEncodingName(static_cast<TidEncoding>(a)) + "_" +
-          TidEncodingName(static_cast<TidEncoding>(b)));
-    }
-  }
 }
 
 void CountingContext::PrepareScratch(size_t shards) {
@@ -235,24 +238,12 @@ uint64_t CountingContext::EstimateEcutSlots(
   return total;
 }
 
-void CountingContext::BuildCoverPlan(const Itemset& itemset,
+void CountingContext::BuildCoverPlan(const Item* items, size_t k,
                                      const TidListStore& store,
                                      bool use_pair_lists, Scratch* s,
                                      std::vector<CoverEntry>* plan) const {
-  DEMON_CHECK(!itemset.empty());
-  plan->clear();
-  const size_t k = itemset.size();
-  bool any_pair_lists = false;
-  if (use_pair_lists && k >= 2) {
-    for (const auto& block : store.blocks()) {
-      if (block->num_pair_lists() > 0) {
-        any_pair_lists = true;
-        break;
-      }
-    }
-  }
-  if (!any_pair_lists) {
-    for (Item item : itemset) plan->push_back({item, 0, false});
+  if (!use_pair_lists || k < 2) {
+    for (size_t i = 0; i < k; ++i) plan->push_back({items[i], 0, false});
     return;
   }
 
@@ -272,9 +263,9 @@ void CountingContext::BuildCoverPlan(const Itemset& itemset,
     for (size_t j = i + 1; j < k; ++j) {
       uint64_t total = kUnmaterialized;
       for (const auto& block : store.blocks()) {
-        if (!block->HasPairList(itemset[i], itemset[j])) continue;
+        if (!block->HasPairList(items[i], items[j])) continue;
         if (total == kUnmaterialized) total = 0;
-        total += block->PairListSize(itemset[i], itemset[j]);
+        total += block->PairListSize(items[i], items[j]);
       }
       s->pair_sizes[i * k + j] = total;
     }
@@ -297,12 +288,12 @@ void CountingContext::BuildCoverPlan(const Itemset& itemset,
       }
     }
     if (best_size == kUnmaterialized) break;
-    plan->push_back({itemset[best_i], itemset[best_j], true});
+    plan->push_back({items[best_i], items[best_j], true});
     s->covered[best_i] = true;
     s->covered[best_j] = true;
   }
   for (size_t i = 0; i < k; ++i) {
-    if (!s->covered[i]) plan->push_back({itemset[i], 0, false});
+    if (!s->covered[i]) plan->push_back({items[i], 0, false});
   }
 }
 
@@ -314,12 +305,31 @@ std::vector<uint64_t> CountingContext::Ecut(
   DEMON_TRACE_SPAN(call_span, telemetry_, use_pair_lists ? "ecut+" : "ecut",
                    "counting");
   [[maybe_unused]] const uint64_t call_span_id = DEMON_SPAN_ID(call_span);
+
+  // Prefix groups: the batch sorted by (size, items), cut wherever the
+  // size or the first k-1 items change.
+  ecut_order_.resize(itemsets.size());
+  std::iota(ecut_order_.begin(), ecut_order_.end(), 0u);
+  std::sort(ecut_order_.begin(), ecut_order_.end(),
+            [&itemsets](uint32_t a, uint32_t b) {
+              return SizeThenItemsLess(itemsets[a], itemsets[b]);
+            });
+  group_begin_.clear();
+  for (size_t i = 0; i < ecut_order_.size(); ++i) {
+    const Itemset& itemset = itemsets[ecut_order_[i]];
+    DEMON_CHECK(!itemset.empty());
+    if (i == 0 || !SamePrefix(itemsets[ecut_order_[i - 1]], itemset)) {
+      group_begin_.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  const size_t num_groups = group_begin_.size();
+  group_begin_.push_back(static_cast<uint32_t>(ecut_order_.size()));
+
   size_t shards = ShardCountFor(itemsets.size(), kMinItemsetsPerShard);
   if (shards > 1) {
     // Second floor: estimated intersection work, so a batch of many tiny
     // candidates stays serial. Each itemset is charged its smallest item's
-    // total directory cardinality — the bound on what the smallest-first
-    // k-way kernel touches.
+    // total directory cardinality.
     const uint64_t slots = EstimateEcutSlots(itemsets, store);
     shards = std::min(shards, static_cast<size_t>(std::max<uint64_t>(
                                   1, slots / kMinSlotsPerShard)));
@@ -328,75 +338,36 @@ std::vector<uint64_t> CountingContext::Ecut(
 
   // Resident blocks first: while this shard set works through the already
   // in-memory blocks, nothing waits on disk; each evicted block is then
-  // faulted in exactly once per shard and all the shard's itemsets batch
+  // faulted in exactly once per shard and all the shard's groups batch
   // over it under one lease. Advisory only — per-block supports sum, so
   // any visit order yields bit-identical counts.
-  std::vector<uint32_t> block_order;
-  store.ResidencyOrder(&block_order);
+  store.ResidencyOrder(&block_order_);
+  size_t largest_block = 0;
+  bool any_pair_lists = false;
+  for (const auto& block : store.blocks()) {
+    largest_block = std::max(largest_block, block->num_transactions());
+    any_pair_lists = any_pair_lists || block->num_pair_lists() > 0;
+  }
+  const size_t bitset_words = (largest_block + 63) / 64;
+  const bool pair_lists = use_pair_lists && any_pair_lists;
 
   const bool collect_stats = CollectStats(stats);
-  const bool time_intersections = intersect_seconds_[0][0] != nullptr;
   ParallelFor(shards > 1 ? pool_ : nullptr, shards, [&](size_t shard) {
     DEMON_TRACE_SPAN_UNDER(shard_span, telemetry_,
                            "ecut shard " + std::to_string(shard), "counting",
                            call_span_id);
-    Scratch& s = *scratch_[shard];
+    // A shard owns every group that starts in its candidate range, so
+    // groups are never split and each prefix is read by one shard.
     const auto [begin, end] = ShardRange(itemsets.size(), shard, shards);
-    const size_t range = end - begin;
-    // Phase 1: plans for the whole range, from directory metadata only.
-    if (s.plans.size() < range) s.plans.resize(range);
-    for (size_t i = begin; i < end; ++i) {
-      BuildCoverPlan(itemsets[i], store, use_pair_lists, &s,
-                     &s.plans[i - begin]);
-    }
-    // Phase 2: block-outer loop; counts[i] slots are disjoint per shard.
-    for (const uint32_t block_index : block_order) {
-      const BlockTidLists& block = store.block(block_index);
-      const TidListLease lease = block.Lease();
-      for (size_t i = begin; i < end; ++i) {
-        s.views.clear();
-        for (const CoverEntry& entry : s.plans[i - begin]) {
-          if (entry.is_pair && block.HasPairList(entry.a, entry.b)) {
-            s.views.push_back(block.PairView(entry.a, entry.b));
-          } else if (entry.is_pair) {
-            s.views.push_back(block.ItemView(entry.a));
-            s.views.push_back(block.ItemView(entry.b));
-          } else {
-            s.views.push_back(block.ItemView(entry.a));
-          }
-        }
-        if (collect_stats) {
-          s.stats.lists_opened += s.views.size();
-          for (const TidListView& view : s.views) {
-            s.stats.slots_fetched += view.size();
-          }
-        }
-        if (time_intersections && s.views.size() >= 2) {
-          // Key the histogram by the encodings of the two smallest views —
-          // the pair the k-way kernel folds first, which dominates cost.
-          size_t small0 = 0;
-          size_t small1 = 1;
-          if (s.views[small1].num_tids < s.views[small0].num_tids) {
-            std::swap(small0, small1);
-          }
-          for (size_t v = 2; v < s.views.size(); ++v) {
-            if (s.views[v].num_tids < s.views[small0].num_tids) {
-              small1 = small0;
-              small0 = v;
-            } else if (s.views[v].num_tids < s.views[small1].num_tids) {
-              small1 = v;
-            }
-          }
-          telemetry::ScopedTimer timer(
-              intersect_seconds_[static_cast<uint8_t>(
-                  s.views[small0].encoding)][static_cast<uint8_t>(
-                  s.views[small1].encoding)]);
-          counts[i] += IntersectionSize(s.views, &s.intersect);
-        } else {
-          counts[i] += IntersectionSize(s.views, &s.intersect);
-        }
-      }
-    }
+    const auto first = group_begin_.begin();
+    const auto groups_end = first + static_cast<ptrdiff_t>(num_groups);
+    EcutShard(itemsets, store, pair_lists,
+              static_cast<size_t>(std::lower_bound(first, groups_end, begin) -
+                                  first),
+              static_cast<size_t>(std::lower_bound(first, groups_end, end) -
+                                  first),
+              bitset_words, collect_stats, scratch_[shard].get(),
+              counts.data());
   });
   MergeStats(shards, stats);
   if (slots_fetched_ != nullptr) {
@@ -407,6 +378,133 @@ std::vector<uint64_t> CountingContext::Ecut(
     itemsets_counted_->Add(itemsets.size());
   }
   return counts;
+}
+
+void CountingContext::EcutShard(const std::vector<Itemset>& itemsets,
+                                const TidListStore& store,
+                                bool use_pair_lists, size_t group_lo,
+                                size_t group_hi, size_t bitset_words,
+                                bool collect_stats, Scratch* s,
+                                uint64_t* counts) const {
+  if (group_lo == group_hi) return;
+  // Phase 1: one prefix plan per group, from directory metadata only.
+  s->plan_entries.clear();
+  s->plan_begin.clear();
+  for (size_t g = group_lo; g < group_hi; ++g) {
+    s->plan_begin.push_back(static_cast<uint32_t>(s->plan_entries.size()));
+    const Itemset& head = itemsets[ecut_order_[group_begin_[g]]];
+    BuildCoverPlan(head.data(), head.size() - 1, store, use_pair_lists, s,
+                   &s->plan_entries);
+  }
+  s->plan_begin.push_back(static_cast<uint32_t>(s->plan_entries.size()));
+  // Zero-filled growth keeps the invariant that the bitset is all zero
+  // between groups.
+  if (s->bits.size() < bitset_words) s->bits.resize(bitset_words, 0);
+  uint64_t* const bits = s->bits.data();
+
+  // Phase 2: block-outer loop; each candidate's count slot belongs to
+  // this shard alone.
+  for (const uint32_t block_index : block_order_) {
+    const BlockTidLists& block = store.block(block_index);
+    const TidListLease lease = block.Lease();
+    const bool block_pairs = use_pair_lists && block.num_pair_lists() > 0;
+    const uint32_t universe = static_cast<uint32_t>(block.num_transactions());
+    for (size_t g = group_lo; g < group_hi; ++g) {
+      const size_t lo = group_begin_[g];
+      const size_t hi = group_begin_[g + 1];
+      const size_t k = itemsets[ecut_order_[lo]].size();
+      if (k == 1) {
+        for (size_t i = lo; i < hi; ++i) {
+          counts[ecut_order_[i]] +=
+              block.ItemListSize(itemsets[ecut_order_[i]][0]);
+        }
+        continue;
+      }
+
+      // Each candidate's extension list. Under ECUT+ any materialized
+      // L(p, e) with p in the prefix P may stand in for L(e), as
+      // P ⊆ L(p); a materialized 2-itemset is its own count.
+      s->probes.clear();
+      for (size_t i = lo; i < hi; ++i) {
+        const uint32_t c = ecut_order_[i];
+        const Itemset& itemset = itemsets[c];
+        const Item e = itemset.back();
+        TidListView extension = block.ItemView(e);
+        bool counted = false;
+        for (size_t j = 0; block_pairs && j + 1 < k; ++j) {
+          if (!block.HasPairList(itemset[j], e)) continue;
+          if (k == 2) {
+            counts[c] += block.PairListSize(itemset[j], e);
+            counted = true;
+            break;
+          }
+          const TidListView pair = block.PairView(itemset[j], e);
+          if (pair.num_tids < extension.num_tids) extension = pair;
+        }
+        if (!counted) s->probes.push_back({c, extension});
+      }
+      if (s->probes.empty()) continue;
+
+      // The prefix, intersected once: smallest list first, folded into
+      // the raw running buffer, stopping as soon as it is empty.
+      s->views.clear();
+      for (uint32_t p = s->plan_begin[g - group_lo];
+           p < s->plan_begin[g - group_lo + 1]; ++p) {
+        const CoverEntry& entry = s->plan_entries[p];
+        if (entry.is_pair && block.HasPairList(entry.a, entry.b)) {
+          s->views.push_back(block.PairView(entry.a, entry.b));
+          continue;
+        }
+        s->views.push_back(block.ItemView(entry.a));
+        if (entry.is_pair) s->views.push_back(block.ItemView(entry.b));
+      }
+      std::sort(s->views.begin(), s->views.end(),
+                [](const TidListView& a, const TidListView& b) {
+                  return a.num_tids < b.num_tids;
+                });
+      TidList& prefix = s->prefix;
+      size_t read = 1;
+      if (s->views.size() == 1) {
+        MaterializeInto(s->views[0], &prefix);
+      } else {
+        IntersectInto(s->views[0], s->views[1], &prefix);
+        if (!s->views[0].empty()) read = 2;
+      }
+      for (; read < s->views.size() && !prefix.empty(); ++read) {
+        IntersectInto(prefix, s->views[read], &s->fold);
+        prefix.swap(s->fold);
+      }
+      if (collect_stats) {
+        s->stats.lists_opened += read;
+        for (size_t v = 0; v < read; ++v) {
+          s->stats.slots_fetched += s->views[v].size();
+        }
+      }
+      if (prefix.empty()) continue;
+
+      // Mark P, count each extension's marked values, then clear P's
+      // words alone. Offsets outside the block only come from corrupt
+      // bytes; skipping them keeps every access inside the bitset.
+      uint32_t limit = 0;
+      for (const uint32_t v : prefix) {
+        if (v >= universe) continue;
+        bits[v >> 6] |= uint64_t{1} << (v & 63);
+        limit = std::max(limit, v);
+      }
+      for (const auto& [c, extension] : s->probes) {
+        counts[c] += CountMarked(extension, bits, limit);
+      }
+      if (collect_stats) {
+        s->stats.lists_opened += s->probes.size();
+        for (const auto& probe : s->probes) {
+          s->stats.slots_fetched += probe.second.size();
+        }
+      }
+      for (const uint32_t v : prefix) {
+        if (v < universe) bits[v >> 6] = 0;
+      }
+    }
+  }
 }
 
 std::vector<uint64_t> CountingContext::Count(

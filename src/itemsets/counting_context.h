@@ -103,19 +103,33 @@ class CountingContext {
       const std::vector<std::shared_ptr<const TransactionBlock>>& blocks,
       int retired_sign, CountingStats* stats = nullptr);
 
-  /// ECUT / ECUT+: candidate itemsets are sharded across the pool; each
-  /// shard intersects per-block TID-list views with its own reusable
-  /// buffers. The ECUT+ covering of an itemset by materialized pair lists
-  /// is computed once per itemset from the always-resident directory (no
-  /// payload I/O); a chosen pair falls back to its two item lists in
-  /// blocks where it is not materialized, which leaves the counts exact
-  /// (any cover intersects to the same support).
+  /// ECUT / ECUT+ as one prefix-group kernel. Candidates are sorted by
+  /// (size, items); a *group* is a run sharing its first k-1 items (the
+  /// prefix P), and the extension e is the last item. In each block a
+  /// group intersects P's lists once into a raw buffer, marks those
+  /// offsets in a per-shard bitset sized to the largest block, and counts
+  /// each candidate as the marked values of one extension list — then
+  /// clears only P's words. P ∩ L(e) is the candidate's support in the
+  /// block, so counts equal a k-way intersection's. A group whose prefix
+  /// is empty in a block reads none of its extension lists there.
   ///
-  /// Residency-aware: each shard builds every plan first, then visits
+  /// Plans come from the always-resident directory alone (no payload
+  /// I/O), once per group: ECUT reads the prefix's item lists; ECUT+
+  /// covers the prefix greedily with materialized pairs (a pair missing
+  /// from a block falls back to its two item lists) and takes as the
+  /// extension the smallest of L(e) and any materialized L(p, e) with p
+  /// in P, exact because P ⊆ L(p). A 1-itemset, and under ECUT+ a
+  /// 2-itemset materialized in the block, is counted from the directory
+  /// without reading payload. `stats` count what is read: each prefix
+  /// list once per (group, block), one extension list per (candidate,
+  /// block).
+  ///
+  /// Shards own contiguous runs of whole groups, so counts and stats are
+  /// identical for every shard count. Residency-aware: each shard visits
   /// blocks resident-first (TidListStore::ResidencyOrder) holding one
   /// lease per block, so a paged-out block is faulted in at most once per
-  /// shard and all the shard's itemsets batch over it while it is pinned.
-  /// Block visit order never changes counts (per-block supports sum).
+  /// shard. Block visit order never changes counts (per-block supports
+  /// sum).
   std::vector<uint64_t> Ecut(const std::vector<Itemset>& itemsets,
                              const TidListStore& store, bool use_pair_lists,
                              CountingStats* stats = nullptr);
@@ -151,11 +165,21 @@ class CountingContext {
     std::vector<uint64_t> node_counts;
     std::vector<uint32_t> retired_deltas;
     std::vector<uint64_t> item_counts;
-    IntersectionScratch intersect;
+    /// ECUT prefix plans of the shard's groups, flat: group g's entries
+    /// are plan_entries[plan_begin[g], plan_begin[g + 1]). Built before
+    /// any block payload is touched.
+    std::vector<CoverEntry> plan_entries;
+    std::vector<uint32_t> plan_begin;
+    /// The current group's prefix lists in one block, smallest first.
     std::vector<TidListView> views;
-    /// Cover plans for the shard's itemset range, built before any block
-    /// payload is touched.
-    std::vector<std::vector<CoverEntry>> plans;
+    /// The running prefix intersection and its fold buffer.
+    TidList prefix;
+    TidList fold;
+    /// Marks the prefix's offsets in one block; all zero between groups.
+    std::vector<uint64_t> bits;
+    /// The current group's candidates still to probe in one block, with
+    /// the extension list each reads.
+    std::vector<std::pair<uint32_t, TidListView>> probes;
     std::vector<uint64_t> pair_sizes;
     std::vector<bool> covered;
     CountingStats stats;
@@ -193,12 +217,22 @@ class CountingContext {
   /// Folds every shard's stats into `*stats` (no-op when null).
   void MergeStats(size_t shards, CountingStats* stats) const;
 
-  /// Computes the cover plan for `itemset` into `*plan` (ECUT: one item
-  /// list per item; ECUT+: greedy pair cover by smallest total size).
-  /// Reads only directory metadata — valid for evicted blocks.
-  void BuildCoverPlan(const Itemset& itemset, const TidListStore& store,
+  /// Appends the cover plan for the `k` items at `items` to `*plan`
+  /// (ECUT: one item list per item; ECUT+, when `use_pair_lists`: greedy
+  /// pair cover by smallest total size). Reads only directory metadata —
+  /// valid for evicted blocks.
+  void BuildCoverPlan(const Item* items, size_t k, const TidListStore& store,
                       bool use_pair_lists, Scratch* s,
                       std::vector<CoverEntry>* plan) const;
+
+  /// Counts the prefix groups [group_lo, group_hi) of the sorted batch
+  /// into `counts` — one shard's share of Ecut, with a bitset of
+  /// `bitset_words` words. `use_pair_lists` is true only when the store
+  /// holds pair lists.
+  void EcutShard(const std::vector<Itemset>& itemsets,
+                 const TidListStore& store, bool use_pair_lists,
+                 size_t group_lo, size_t group_hi, size_t bitset_words,
+                 bool collect_stats, Scratch* s, uint64_t* counts) const;
 
   /// Re-resolves the cached counter pointers from telemetry_ (all null
   /// when unbound, so the hot paths test one pointer).
@@ -217,18 +251,18 @@ class CountingContext {
   /// Lazy per-item total-cardinality cache for EstimateEcutSlots (reused
   /// buffer; rebuilt each Ecut call).
   std::vector<uint64_t> item_totals_;
+  /// Ecut's batch sorted by (size, items), as indices into the batch; the
+  /// positions in it where each prefix group starts, plus the end; and
+  /// the block visit order (reused buffers).
+  std::vector<uint32_t> ecut_order_;
+  std::vector<uint32_t> group_begin_;
+  std::vector<uint32_t> block_order_;
   /// All null in DEMON_TELEMETRY=OFF builds (see set_telemetry).
   telemetry::TelemetryRegistry* telemetry_ = nullptr;
   telemetry::Counter* slots_fetched_ = nullptr;
   telemetry::Counter* lists_opened_ = nullptr;
   telemetry::Counter* transactions_scanned_ = nullptr;
   telemetry::Counter* itemsets_counted_ = nullptr;
-  /// `counting/intersect_seconds_<enc>_<enc>` histograms indexed by the
-  /// encodings of the two smallest views of an intersection (the pair the
-  /// k-way kernel folds first). All null when unbound, so the encoding
-  /// scan and the timer are skipped entirely on the plain hot path.
-  telemetry::Histogram* intersect_seconds_[kNumTidEncodings]
-                                          [kNumTidEncodings] = {};
 };
 
 }  // namespace demon

@@ -8,16 +8,14 @@
 #include <cerrno>
 #include <cstring>
 #include <utility>
-
-#include "common/check.h"
+#include <vector>
 
 namespace demon::persistence {
 
 namespace {
 
-/// Gathered writes take at most this many parts (header, payload,
-/// trailer... — every caller passes fewer).
-constexpr size_t kMaxParts = 8;
+/// Gathered writes go out in batches of at most this many parts.
+constexpr size_t kPartsPerWrite = 16;
 
 Status OsError(const std::string& what, const std::string& path) {
   return Status::IoError(what + " " + path + ": " + std::strerror(errno));
@@ -31,45 +29,56 @@ int OpenFd(const std::string& path, int flags) {
   return fd;
 }
 
-/// Writes every byte of `parts` to `fd`, resuming after short writes and
-/// `EINTR`.
-Status WriteAll(int fd, std::initializer_list<std::string_view> parts,
+/// Writes every byte of `parts[0, count)` to `fd`, resuming after short
+/// writes and `EINTR`.
+Status WriteAll(int fd, const std::string_view* parts, size_t count,
                 const std::string& path) {
-  DEMON_CHECK_MSG(parts.size() <= kMaxParts, "too many parts for one write");
-  iovec iov[kMaxParts];
-  int count = 0;
-  for (const std::string_view part : parts) {
-    if (part.empty()) continue;
-    iov[count++] = {const_cast<char*>(part.data()), part.size()};
-  }
-  iovec* next = iov;
-  while (count > 0) {
-    const ssize_t n = ::writev(fd, next, count);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return OsError("cannot write", path);
-    auto written = static_cast<size_t>(n);
-    while (count > 0 && written >= next->iov_len) {
-      written -= next->iov_len;
-      ++next;
-      --count;
+  for (size_t first = 0; first < count; first += kPartsPerWrite) {
+    iovec iov[kPartsPerWrite];
+    int pending = 0;
+    for (size_t i = first; i < count && i < first + kPartsPerWrite; ++i) {
+      if (parts[i].empty()) continue;
+      iov[pending++] = {const_cast<char*>(parts[i].data()), parts[i].size()};
     }
-    if (count > 0) {
-      next->iov_base = static_cast<char*>(next->iov_base) + written;
-      next->iov_len -= written;
+    iovec* next = iov;
+    while (pending > 0) {
+      const ssize_t n = ::writev(fd, next, pending);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return OsError("cannot write", path);
+      auto written = static_cast<size_t>(n);
+      while (pending > 0 && written >= next->iov_len) {
+        written -= next->iov_len;
+        ++next;
+        --pending;
+      }
+      if (pending > 0) {
+        next->iov_base = static_cast<char*>(next->iov_base) + written;
+        next->iov_len -= written;
+      }
     }
   }
   return Status::OK();
+}
+
+Status WriteParts(const std::string& path, const std::string_view* parts,
+                  size_t count) {
+  const int fd = OpenFd(path, O_WRONLY | O_CREAT | O_TRUNC);
+  if (fd < 0) return OsError("cannot open for write", path);
+  Status status = WriteAll(fd, parts, count, path);
+  if (::close(fd) != 0 && status.ok()) status = OsError("cannot close", path);
+  return status;
 }
 
 }  // namespace
 
 Status WriteFile(const std::string& path,
                  std::initializer_list<std::string_view> parts) {
-  const int fd = OpenFd(path, O_WRONLY | O_CREAT | O_TRUNC);
-  if (fd < 0) return OsError("cannot open for write", path);
-  Status status = WriteAll(fd, parts, path);
-  if (::close(fd) != 0 && status.ok()) status = OsError("cannot close", path);
-  return status;
+  return WriteParts(path, parts.begin(), parts.size());
+}
+
+Status WriteFile(const std::string& path,
+                 const std::vector<std::string_view>& parts) {
+  return WriteParts(path, parts.data(), parts.size());
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -126,7 +135,7 @@ Status File::ReadAt(uint64_t offset, void* out, size_t size) const {
 }
 
 Status File::Append(std::initializer_list<std::string_view> parts) {
-  return WriteAll(fd_, parts, path_);
+  return WriteAll(fd_, parts.begin(), parts.size(), path_);
 }
 
 Status File::Truncate(uint64_t size) {

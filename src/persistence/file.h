@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
@@ -24,6 +25,8 @@ namespace demon::persistence {
 /// `WritePayloadFile` (tmp + rename).
 [[nodiscard]] Status WriteFile(const std::string& path,
                                std::initializer_list<std::string_view> parts);
+[[nodiscard]] Status WriteFile(const std::string& path,
+                               const std::vector<std::string_view>& parts);
 
 /// Reads the whole of `path`.
 [[nodiscard]] Result<std::string> ReadFile(const std::string& path);

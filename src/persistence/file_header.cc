@@ -74,10 +74,20 @@ Result<FileHeader> FileHeader::Consume(Reader& r, FormatId expected,
 
 Status WritePayloadFile(const std::string& path, FormatId format,
                         uint32_t version, const Writer& payload) {
+  return WritePayloadFile(path, format, version, {payload.buffer()});
+}
+
+Status WritePayloadFile(const std::string& path, FormatId format,
+                        uint32_t version,
+                        const std::vector<std::string_view>& payload_parts) {
   Writer header;
   FileHeader::Append(header, format, version);
+  std::vector<std::string_view> parts;
+  parts.reserve(payload_parts.size() + 1);
+  parts.push_back(header.buffer());
+  parts.insert(parts.end(), payload_parts.begin(), payload_parts.end());
   const std::string tmp = path + ".tmp";
-  Status status = WriteFile(tmp, {header.buffer(), payload.buffer()});
+  Status status = WriteFile(tmp, parts);
   if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
     status = Status::IoError("cannot rename " + tmp + " over " + path);
   }

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "persistence/serializer.h"
@@ -63,6 +65,14 @@ struct FileHeader {
 /// complete new one).
 [[nodiscard]] Status WritePayloadFile(const std::string& path, FormatId format,
                                       uint32_t version, const Writer& payload);
+
+/// The same with the payload given as parts written back to back, so a
+/// caller whose payload is made of separately built sections (the
+/// checkpoint's framed maintainer states) never copies them into one
+/// buffer.
+[[nodiscard]] Status WritePayloadFile(
+    const std::string& path, FormatId format, uint32_t version,
+    const std::vector<std::string_view>& payload_parts);
 
 /// Reads a file written by `WritePayloadFile`: validates the header (same
 /// status contract as `FileHeader::Consume`) and returns the payload bytes.

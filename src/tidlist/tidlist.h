@@ -53,9 +53,6 @@ struct IntersectionScratch {
   TidList current;
   TidList next;
   std::vector<const TidList*> order;
-  /// Index permutation used by the view-level IntersectionSize (views are
-  /// value types, so ordering goes through indices, not pointers).
-  std::vector<uint32_t> view_order;
 };
 
 /// \brief Cardinality of the intersection of `lists` (the support of the

@@ -102,11 +102,9 @@ bool BothRaw(const TidListView& a, const TidListView& b) {
 
 // --- delta-involving pairwise kernels -------------------------------------
 //
-// With kStore the result goes to `out`, which must have room for the smaller
-// of the two cardinalities; without it the matches are only counted. One
-// body per pair serves IntersectInto and IntersectSize alike.
+// The result goes to `out`, which must have room for the smaller of the two
+// cardinalities; the return value is the number of matches stored.
 
-template <bool kStore>
 size_t MergeRawDelta(const TidListView& raw, const TidListView& delta,
                      uint32_t* out) {
   const uint32_t* lo = RawBegin(raw);
@@ -117,13 +115,12 @@ size_t MergeRawDelta(const TidListView& raw, const TidListView& delta,
   for (DeltaCursor cur(delta); cur.valid && lo != end; cur.Advance()) {
     lo = GallopLowerBound(lo, end, cur.value);
     if (lo == end) break;
-    if constexpr (kStore) out[k] = cur.value;
+    out[k] = cur.value;
     k += static_cast<size_t>(*lo == cur.value);
   }
   return k;
 }
 
-template <bool kStore>
 size_t MergeDeltaDelta(const TidListView& a, const TidListView& b,
                        uint32_t* out) {
   size_t k = 0;
@@ -135,7 +132,7 @@ size_t MergeDeltaDelta(const TidListView& a, const TidListView& b,
     } else if (cb.value < ca.value) {
       cb.Advance();
     } else {
-      if constexpr (kStore) out[k] = ca.value;
+      out[k] = ca.value;
       ++k;
       ca.Advance();
       cb.Advance();
@@ -146,17 +143,16 @@ size_t MergeDeltaDelta(const TidListView& a, const TidListView& b,
 
 /// Dispatches every pair that involves a delta side; raw×raw goes straight
 /// to the tidlist.h merge instead.
-template <bool kStore>
 size_t MergeWithDelta(const TidListView& a, const TidListView& b,
                       uint32_t* out) {
   const bool a_delta = a.encoding == TidEncoding::kDelta;
   const bool b_delta = b.encoding == TidEncoding::kDelta;
-  if (a_delta && b_delta) return MergeDeltaDelta<kStore>(a, b, out);
+  if (a_delta && b_delta) return MergeDeltaDelta(a, b, out);
   if (a_delta && b.encoding == TidEncoding::kRaw) {
-    return MergeRawDelta<kStore>(b, a, out);
+    return MergeRawDelta(b, a, out);
   }
   if (b_delta && a.encoding == TidEncoding::kRaw) {
-    return MergeRawDelta<kStore>(a, b, out);
+    return MergeRawDelta(a, b, out);
   }
   DEMON_CHECK_MSG(false, "unknown TID-list encoding pair");
   return 0;
@@ -322,54 +318,48 @@ void IntersectInto(const TidListView& a, const TidListView& b, TidList* out) {
     return;
   }
   out->resize(std::min(a.num_tids, b.num_tids));
-  out->resize(MergeWithDelta<true>(a, b, out->data()));
+  out->resize(MergeWithDelta(a, b, out->data()));
 }
 
 void IntersectInto(const TidList& a, const TidListView& b, TidList* out) {
   IntersectInto(RawView(a, b.universe), b, out);
 }
 
-uint64_t IntersectSize(const TidListView& a, const TidListView& b) {
-  if (a.num_tids == 0 || b.num_tids == 0) return 0;
-  if (BothRaw(a, b)) {
-    return IntersectRawSize(RawBegin(a), RawCount(a), RawBegin(b),
-                            RawCount(b));
+uint64_t CountMarked(const TidListView& view, const uint64_t* bits,
+                     uint32_t limit) {
+  const auto marked = [bits](uint32_t v) -> uint64_t {
+    return (bits[v >> 6] >> (v & 63)) & 1;
+  };
+  uint64_t n = 0;
+  switch (view.encoding) {
+    case TidEncoding::kRaw: {
+      const uint32_t* const values = RawBegin(view);
+      const size_t count = RawCount(view);
+      for (size_t i = 0; i < count && values[i] <= limit; ++i) {
+        n += marked(values[i]);
+      }
+      break;
+    }
+    case TidEncoding::kDelta: {
+      // MaterializeInto's stream with the store replaced by a bit test.
+      const uint8_t* p = view.data;
+      const uint8_t* const end = view.data + view.bytes;
+      uint32_t value = 0;
+      for (uint32_t i = 0; i < view.num_tids; ++i) {
+        uint32_t delta = 0;
+        if (p < end && *p < 0x80) {
+          delta = *p++;
+        } else if (!ReadVarint(&p, end, &delta)) {
+          break;
+        }
+        value += delta;
+        if (value > limit) break;
+        n += marked(value);
+      }
+      break;
+    }
   }
-  return MergeWithDelta<false>(a, b, nullptr);
-}
-
-uint64_t IntersectionSize(const std::vector<TidListView>& views,
-                          IntersectionScratch* scratch) {
-  DEMON_CHECK(!views.empty());
-  if (views.size() == 1) return views[0].num_tids;
-
-  // Intersect smallest-first so intermediate results shrink fast; only the
-  // running intersection is materialized (raw), inputs stay encoded.
-  scratch->view_order.resize(views.size());
-  for (uint32_t i = 0; i < views.size(); ++i) scratch->view_order[i] = i;
-  std::sort(scratch->view_order.begin(), scratch->view_order.end(),
-            [&views](uint32_t a, uint32_t b) {
-              return views[a].num_tids < views[b].num_tids;
-            });
-  // As in the raw-list IntersectionSize, the final fold never needs the
-  // result materialized — it goes through the size-only pairwise kernels.
-  const size_t last = scratch->view_order.size() - 1;
-  if (last == 1) {
-    return IntersectSize(views[scratch->view_order[0]],
-                         views[scratch->view_order[1]]);
-  }
-  TidList& current = scratch->current;
-  TidList& next = scratch->next;
-  IntersectInto(views[scratch->view_order[0]], views[scratch->view_order[1]],
-                &current);
-  for (size_t i = 2; i < last; ++i) {
-    if (current.empty()) return 0;
-    IntersectInto(current, views[scratch->view_order[i]], &next);
-    current.swap(next);
-  }
-  if (current.empty()) return 0;
-  const TidListView& final_view = views[scratch->view_order[last]];
-  return IntersectSize(RawView(current, final_view.universe), final_view);
+  return n;
 }
 
 }  // namespace demon

@@ -86,22 +86,17 @@ void MaterializeInto(const TidListView& view, TidList* out);
 void IntersectInto(const TidListView& a, const TidListView& b, TidList* out);
 
 /// Raw decoded left side against an encoded right side — the fold step of
-/// the k-way intersection (the running intersection is always raw).
+/// a prefix intersection (the running intersection is always raw).
 void IntersectInto(const TidList& a, const TidListView& b, TidList* out);
 
-/// \brief Cardinality of a ∩ b without materializing the result — the
-/// store-free twin of the pairwise IntersectInto (same kernels, no
-/// stores). This is the kernel the final fold of a k-way intersection
-/// uses.
-uint64_t IntersectSize(const TidListView& a, const TidListView& b);
-
-/// \brief Cardinality of the intersection of encoded `views` — the
-/// view-level twin of IntersectionSize over raw lists. Intersects
-/// smallest-first with early exit on empty; only the running intersection
-/// is ever materialized, never the inputs. Empty `views` is invalid; a
-/// single view returns its cardinality without touching its bytes.
-uint64_t IntersectionSize(const std::vector<TidListView>& views,
-                          IntersectionScratch* scratch);
+/// \brief Number of values of `view` whose bit is set in `bits` (value v
+/// is bit v % 64 of word v / 64) — the probe half of ECUT's prefix-group
+/// kernel, where `bits` marks a prefix's offsets. The stream stops at the
+/// first value above `limit`, so only words [0, limit / 64] are read: pass
+/// the largest marked offset. Garbage bytes end the stream early, never
+/// read past `limit`'s word.
+uint64_t CountMarked(const TidListView& view, const uint64_t* bits,
+                     uint32_t limit);
 
 }  // namespace demon
 

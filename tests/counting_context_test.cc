@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -107,6 +108,197 @@ TEST(CountingContextTest, ParallelMatchesSequentialAllStrategies) {
       ExpectStatsEq(stats, seq_stats, CountingStrategyName(strategy));
     }
   }
+}
+
+// --- the prefix-group ECUT kernel -----------------------------------------
+
+// Records over items [0, kProbeItems): the low items are frequent, so
+// candidates share prefixes; items kProbeItems-3.. never occur, so their
+// lists are empty.
+constexpr size_t kProbeItems = 24;
+
+std::shared_ptr<const TransactionBlock> RandomBlock(size_t records,
+                                                    Tid first_tid, Rng* rng) {
+  std::vector<Transaction> transactions;
+  for (size_t r = 0; r < records; ++r) {
+    std::vector<Item> items;
+    for (Item item = 0; item + 3 < kProbeItems; ++item) {
+      const double p = item < 6 ? 0.55 : 0.2;
+      if (rng->NextBernoulli(p)) items.push_back(item);
+    }
+    transactions.push_back(Transaction(std::move(items)));
+  }
+  return std::make_shared<TransactionBlock>(transactions, first_tid);
+}
+
+// Itemsets of sizes 1-5 over a few shared prefixes, with duplicates and
+// items whose lists are empty.
+std::vector<Itemset> PrefixSharingItemsets(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  const auto random_set = [&rng](size_t size) {
+    Itemset itemset;
+    while (itemset.size() < size) {
+      const Item item = static_cast<Item>(
+          rng.NextBernoulli(0.7) ? rng.NextUint64(8)
+                                 : rng.NextUint64(kProbeItems));
+      if (!std::binary_search(itemset.begin(), itemset.end(), item)) {
+        itemset.insert(
+            std::lower_bound(itemset.begin(), itemset.end(), item), item);
+      }
+    }
+    return itemset;
+  };
+  std::vector<Itemset> prefixes;
+  for (size_t size = 0; size < 5; ++size) {
+    for (int i = 0; i < 4; ++i) prefixes.push_back(random_set(size));
+  }
+  std::vector<Itemset> itemsets;
+  while (itemsets.size() < count) {
+    if (!itemsets.empty() && rng.NextBernoulli(0.1)) {
+      itemsets.push_back(itemsets[rng.NextUint64(itemsets.size())]);
+      continue;
+    }
+    Itemset itemset = prefixes[rng.NextUint64(prefixes.size())];
+    const Item first = itemset.empty() ? 0 : itemset.back() + 1;
+    if (first >= kProbeItems) continue;
+    itemset.push_back(
+        static_cast<Item>(first + rng.NextUint64(kProbeItems - first)));
+    itemsets.push_back(std::move(itemset));
+  }
+  return itemsets;
+}
+
+// Builds `block`'s lists with the item `raw_item` pinned to the raw
+// encoding (the density heuristic stores every non-empty list as delta).
+std::shared_ptr<const BlockTidLists> ListsWithRawItem(
+    const TransactionBlock& block, Item raw_item,
+    const PairMaterializationSpec* pairs) {
+  auto lists = std::const_pointer_cast<BlockTidLists>(
+      BlockTidLists::Build(block, kProbeItems, pairs));
+  lists->SetItemListForTest(raw_item, lists->MaterializeItemList(raw_item));
+  return lists;
+}
+
+// The differential oracle of the prefix-group kernel: over blocks whose
+// sizes straddle the bitset's 64-bit words, raw and delta lists, pair
+// lists materialized in some blocks only and a 4 KiB pager budget, ECUT
+// and ECUT+ agree with PT-Scan, and counts and stats are identical at
+// every thread count.
+TEST(CountingContextTest, PrefixGroupEcutMatchesPtScan) {
+  Rng rng(51);
+  std::vector<std::shared_ptr<const TransactionBlock>> blocks;
+  Tid tid = 0;
+  for (const size_t records : {1, 63, 64, 65, 1000, 64}) {
+    blocks.push_back(RandomBlock(records, tid, &rng));
+    tid += records;
+  }
+  PairMaterializationSpec pairs;
+  for (Item a = 0; a < 8; ++a) {
+    for (Item b = a + 1; b < 10; ++b) pairs.pairs.push_back({a, b});
+  }
+  TidListStore plain(TidListStoreOptions{});
+  TidListStore some_pairs(TidListStoreOptions{});
+  TidListStoreOptions budget;
+  budget.memory_budget_bytes = 4096;
+  TidListStore paged(budget);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const Item raw_item = static_cast<Item>(b % 3);
+    plain.Append(ListsWithRawItem(*blocks[b], raw_item, nullptr));
+    some_pairs.Append(
+        ListsWithRawItem(*blocks[b], raw_item, b % 2 == 0 ? &pairs : nullptr));
+    paged.Append(
+        ListsWithRawItem(*blocks[b], raw_item, b % 3 != 1 ? &pairs : nullptr));
+  }
+  ASSERT_NE(paged.pager(), nullptr);
+
+  const auto itemsets = PrefixSharingItemsets(400, 52);
+  const std::vector<uint64_t> expected = CountingContext().PtScan(
+      itemsets, blocks);
+  struct Case {
+    const char* name;
+    const TidListStore* store;
+    bool use_pair_lists;
+  };
+  for (const Case& c : {Case{"ecut", &plain, false},
+                        Case{"ecut+ no pairs", &plain, true},
+                        Case{"ecut over pairs", &some_pairs, false},
+                        Case{"ecut+", &some_pairs, true},
+                        Case{"paged ecut", &paged, false},
+                        Case{"paged ecut+", &paged, true}}) {
+    SCOPED_TRACE(c.name);
+    CountingStats seq_stats;
+    const auto counts = CountingContext().Ecut(itemsets, *c.store,
+                                               c.use_pair_lists, &seq_stats);
+    ASSERT_EQ(counts, expected);
+    EXPECT_GT(seq_stats.lists_opened, 0u);
+    for (const size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      CountingContext context(&pool);
+      CountingStats stats;
+      EXPECT_EQ(context.Ecut(itemsets, *c.store, c.use_pair_lists, &stats),
+                expected);
+      ExpectStatsEq(stats, seq_stats, c.name);
+    }
+  }
+}
+
+// ECUT+ reads the smallest list that can extend a prefix: a materialized
+// L(p, e) smaller than L(e) replaces it; a 2-itemset materialized in the
+// block, and a 1-itemset, are counted from the directory with no payload
+// read; and a prefix that is empty in the block reads no extension list.
+TEST(CountingContextTest, EcutPlusReadsTheSmallestExtension) {
+  // Item 0 on records [0, 100), item 1 on [0, 150), item 2 on [50, 200);
+  // item 3 on none; pair {0, 2} (records [50, 100)) materialized.
+  std::vector<Transaction> records;
+  for (Item r = 0; r < 200; ++r) {
+    std::vector<Item> items;
+    if (r < 100) items.push_back(0);
+    if (r < 150) items.push_back(1);
+    if (r >= 50) items.push_back(2);
+    records.push_back(Transaction(std::move(items)));
+  }
+  const TransactionBlock block(records, 0);
+  PairMaterializationSpec spec;
+  spec.pairs = {{0, 2}};
+  TidListStore store(TidListStoreOptions{});
+  store.Append(BlockTidLists::Build(block, 5, &spec));
+  ASSERT_TRUE(store.block(0).HasPairList(0, 2));
+  ASSERT_EQ(store.block(0).PairListSize(0, 2), 50u);
+
+  const auto count = [&store](const Itemset& itemset, bool pairs,
+                              CountingStats* stats) {
+    return CountingContext().Ecut({itemset}, store, pairs, stats)[0];
+  };
+  // Prefix {0, 1}: L(0) and L(1) are read once; the extension is
+  // L(0, 2) (50 slots) under ECUT+ and L(2) (150) under ECUT.
+  CountingStats plus;
+  EXPECT_EQ(count({0, 1, 2}, true, &plus), 50u);
+  EXPECT_EQ(plus.lists_opened, 3u);
+  EXPECT_EQ(plus.slots_fetched, 100u + 150u + 50u);
+  CountingStats plain;
+  EXPECT_EQ(count({0, 1, 2}, false, &plain), 50u);
+  EXPECT_EQ(plain.lists_opened, 3u);
+  EXPECT_EQ(plain.slots_fetched, 100u + 150u + 150u);
+
+  // The materialized 2-itemset and a 1-itemset read nothing.
+  CountingStats directory;
+  EXPECT_EQ(count({0, 2}, true, &directory), 50u);
+  EXPECT_EQ(count({2}, true, &directory), 150u);
+  EXPECT_EQ(directory.lists_opened, 0u);
+  EXPECT_EQ(directory.slots_fetched, 0u);
+
+  // {0, 2} under ECUT reads L(0) then L(2).
+  CountingStats pair_plain;
+  EXPECT_EQ(count({0, 2}, false, &pair_plain), 50u);
+  EXPECT_EQ(pair_plain.lists_opened, 2u);
+  EXPECT_EQ(pair_plain.slots_fetched, 100u + 150u);
+
+  // Prefix {3} is empty: its list is opened, no extension is read.
+  CountingStats empty_prefix;
+  EXPECT_EQ(count({3, 4}, true, &empty_prefix), 0u);
+  EXPECT_EQ(empty_prefix.lists_opened, 1u);
+  EXPECT_EQ(empty_prefix.slots_fetched, 0u);
 }
 
 TEST(CountingContextTest, CountItemsMatchesBruteForce) {

@@ -247,10 +247,6 @@ TEST(TidListCodecTest, AllKernelPairsMatchSetIntersection) {
         IntersectInto(enc_a.View(universe), enc_b.View(universe), &out);
         EXPECT_EQ(out, expected)
             << TidEncodingName(ea) << " x " << TidEncodingName(eb);
-        // The size-only twin counts the same intersection.
-        EXPECT_EQ(IntersectSize(enc_a.View(universe), enc_b.View(universe)),
-                  expected.size())
-            << TidEncodingName(ea) << " x " << TidEncodingName(eb);
         // The raw-left fold overload agrees as well.
         IntersectInto(a, enc_b.View(universe), &out);
         EXPECT_EQ(out, expected);
@@ -259,52 +255,38 @@ TEST(TidListCodecTest, AllKernelPairsMatchSetIntersection) {
   }
 }
 
-// The view-level pairwise IntersectSize is the final-fold kernel of every
-// k-way count; it must agree with the oracle for every encoding pair on
-// lists covering up to half a 4096-transaction block.
-TEST(SimdKernelsTest, ViewIntersectSizeMatchesOracleForAllEncodingPairs) {
-  Rng rng(17);
-  const uint32_t universe = 4096;
-  for (int round = 0; round < 6; ++round) {
-    const TidList a = RandomSortedList(&rng, universe, universe / 2);
-    const TidList b = RandomSortedList(&rng, universe, universe / 2);
+// CountMarked is ECUT's probe: the values of a list whose bit is set in a
+// prefix bitset, streamed no further than the largest marked offset. It
+// must equal the set intersection for both encodings, and garbage bytes
+// must never read a word past that offset's.
+TEST(TidListCodecTest, CountMarkedMatchesSetIntersection) {
+  Rng rng(4242);
+  for (int round = 0; round < 60; ++round) {
+    const uint32_t universe = 1 + static_cast<uint32_t>(rng.NextUint64(1100));
+    const TidList marked = RandomSortedList(&rng, universe, universe / 3 + 1);
+    const TidList list = RandomSortedList(&rng, universe, universe / 2 + 1);
+    if (marked.empty()) continue;
+    const uint32_t limit = marked.back();
+    std::vector<uint64_t> bits(limit / 64 + 1, 0);
+    for (const uint32_t v : marked) bits[v >> 6] |= uint64_t{1} << (v & 63);
     TidList expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    for (const TidEncoding ea : {TidEncoding::kRaw, TidEncoding::kDelta}) {
-      for (const TidEncoding eb : {TidEncoding::kRaw, TidEncoding::kDelta}) {
-        const EncodedTidList enc_a = EncodeTidListAs(ea, a);
-        const EncodedTidList enc_b = EncodeTidListAs(eb, b);
-        EXPECT_EQ(IntersectSize(enc_a.View(universe), enc_b.View(universe)),
-                  expected.size())
-            << TidEncodingName(ea) << " x " << TidEncodingName(eb);
-      }
+    std::set_intersection(marked.begin(), marked.end(), list.begin(),
+                          list.end(), std::back_inserter(expected));
+    for (const TidEncoding encoding :
+         {TidEncoding::kRaw, TidEncoding::kDelta}) {
+      const EncodedTidList encoded = EncodeTidListAs(encoding, list);
+      EXPECT_EQ(CountMarked(encoded.View(universe), bits.data(), limit),
+                expected.size())
+          << TidEncodingName(encoding) << " round " << round;
     }
-  }
-}
-
-TEST(TidListCodecTest, ViewLevelIntersectionSizeMatchesRawLevel) {
-  Rng rng(31337);
-  for (int round = 0; round < 40; ++round) {
-    const uint32_t universe = 1 + static_cast<uint32_t>(rng.NextUint64(1500));
-    const size_t k = 2 + rng.NextUint64(4);
-    std::vector<TidList> lists;
-    std::vector<EncodedTidList> encoded;
-    for (size_t i = 0; i < k; ++i) {
-      lists.push_back(RandomSortedList(&rng, universe, 300));
-      // Cycle deliberately through all encodings regardless of density.
-      encoded.push_back(EncodeTidListAs(
-          static_cast<TidEncoding>(i % kNumTidEncodings), lists.back()));
+    // Random bytes under the delta encoding: any count, no stray read.
+    std::vector<uint8_t> garbage(1 + rng.NextUint64(64));
+    for (uint8_t& byte : garbage) {
+      byte = static_cast<uint8_t>(rng.NextUint64(256));
     }
-    std::vector<const TidList*> raw_ptrs;
-    std::vector<TidListView> views;
-    for (size_t i = 0; i < k; ++i) {
-      raw_ptrs.push_back(&lists[i]);
-      views.push_back(encoded[i].View(universe));
-    }
-    IntersectionScratch scratch;
-    const uint64_t expected = IntersectionSize(raw_ptrs);
-    EXPECT_EQ(IntersectionSize(views, &scratch), expected);
+    const TidListView view{TidEncoding::kDelta, universe, universe,
+                           garbage.data(), garbage.size()};
+    EXPECT_LE(CountMarked(view, bits.data(), limit), universe);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "itemsets/apriori.h"
+#include "itemsets/block_miner.h"
 #include "itemsets/model_io.h"
 #include "itemsets/support_counting.h"
 #include "persistence/block_codec.h"
@@ -130,8 +131,12 @@ void BordersMaintainer::AddBlock(std::shared_ptr<const HistoryBlock> block) {
     DEMON_TRACE_SPAN(span, telemetry_, "borders-detect", "borders");
     telemetry::ScopedTimer timer(detection_hist_);
     if (history_.size() == 1 && model_.entries().empty()) {
-      // First selected block: build the model from scratch (base case).
-      AprioriInto({records}, &counting_, &model_);
+      // First selected block: mine the model from scratch (base case),
+      // vertically on the block's item bitmaps.
+      {
+        DEMON_TRACE_SPAN(mine_span, telemetry_, "mine-block", "counting");
+        MineBlockInto(*records, &model_);
+      }
       last_stats_.detection_seconds = timer.Stop();
       return;
     }

@@ -119,13 +119,15 @@ class BordersMaintainer {
   void ChangeMinSupport(double minsup);
 
   /// Binds the counting kernel to `pool` (not owned; null = sequential):
-  /// detection scans, the base-case Apriori and update-phase candidate
-  /// counting then shard over the pool with bit-identical results. The
-  /// MaintenanceEngine shares its monitor pool this way.
+  /// detection scans and update-phase candidate counting then shard over
+  /// the pool with bit-identical results (the base case, MineBlockInto,
+  /// stays sequential). The MaintenanceEngine shares its monitor pool
+  /// this way.
   void set_counting_pool(ThreadPool* pool) { counting_.set_pool(pool); }
 
   /// Binds `registry` (not owned; nullable) for phase spans
-  /// ("tidlist-build" / "borders-detect" / "borders-update"), the
+  /// ("tidlist-build" / "borders-detect" / "borders-update", and the
+  /// base case's "mine-block" under "borders-detect"), the
   /// `borders/{detection,update}_seconds` histograms, the
   /// `borders/revived_candidates` counter, the `tidlist/builds` counter
   /// (item-list builds this maintainer ran; blocks whose lists another

@@ -231,7 +231,16 @@ bool ItemsetTrie::RankBitmap::Follow(const Item* items, size_t n, Item item,
   // The item lies past the bitmap, or the items thinned out: resize the
   // bitmap to their universe while they are still wide.
   if (!WideEnough(n, UniverseOf(items, n))) return false;
-  Build(items, n);
+  const size_t word = item / 64;
+  if (!inserted || word < bits.size()) {
+    Build(items, n);
+    return true;
+  }
+  // `item` is the largest of the items, and the other n - 1 lie below
+  // limit(): every new word ranks all of them.
+  bits.resize(word + 1, 0);
+  ranks.resize(word + 1, static_cast<uint32_t>(n - 1));
+  bits[word] |= uint64_t{1} << (item % 64);
   return true;
 }
 
@@ -283,13 +292,25 @@ ItemsetTrie::NodeId ItemsetTrie::Insert(const Item* items, size_t n,
                     "itemset must be strictly increasing");
     node = ChildOrInsert(node, items[i]);
   }
-  if (!nodes_[node].tracked) {
-    nodes_[node].tracked = true;
-    entries_[node] = entry;
-    ++num_tracked_;
-    if (entry.frequent && !frequent_stale_) ++num_frequent_;
-  }
+  Track(node, entry);
   return node;
+}
+
+ItemsetTrie::NodeId ItemsetTrie::InsertChild(NodeId parent, Item item,
+                                             const Entry& entry) {
+  DEMON_CHECK_MSG(parent == kRoot || nodes_[parent].item < item,
+                  "itemset must be strictly increasing");
+  const NodeId node = ChildOrInsert(parent, item);
+  Track(node, entry);
+  return node;
+}
+
+void ItemsetTrie::Track(NodeId node, const Entry& entry) {
+  if (nodes_[node].tracked) return;
+  nodes_[node].tracked = true;
+  entries_[node] = entry;
+  ++num_tracked_;
+  if (entry.frequent && !frequent_stale_) ++num_frequent_;
 }
 
 void ItemsetTrie::RemoveChild(NodeId parent, NodeId child) {

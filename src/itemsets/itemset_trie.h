@@ -97,6 +97,10 @@ class ItemsetTrie {
   NodeId Insert(const Itemset& itemset, const Entry& entry = {}) {
     return Insert(itemset.data(), itemset.size(), entry);
   }
+  /// Insert() of `parent`'s itemset ∪ {item}, `item` past every item on
+  /// the path to `parent` (kRoot for a 1-itemset): no walk from the root.
+  /// Children inserted in ascending order are appended.
+  NodeId InsertChild(NodeId parent, Item item, const Entry& entry = {});
 
   /// The node of a tracked itemset, or kNoNode. Allocation-free.
   NodeId Find(const Item* items, size_t n) const;
@@ -389,8 +393,11 @@ class ItemsetTrie {
     /// Brings the bitmap of the `n` ascending `items` up to date after
     /// `item` joined or left them, by the density rule (see WideEnough in
     /// the .cc); false when the items are no longer wide enough for one.
+    /// An item joining past limit() extends both arrays in place to its
+    /// word, which is the state Build would leave.
     bool Follow(const Item* items, size_t n, Item item, bool inserted);
   };
+  friend struct ItemsetTriePeer;  // tests read child and row bitmaps
 
   /// A node's retired-extension row: ascending extension items, their
   /// counts, and — for a row as dense as a wide node's children — a rank
@@ -439,6 +446,8 @@ class ItemsetTrie {
   void ReleaseProbe(NodeId node);
   static bool BitmapFits(const RankBitmap& bitmap, const Item* items,
                          size_t n);
+  /// Tracks `node` with `entry` unless it is tracked already.
+  void Track(NodeId node, const Entry& entry);
 
   /// Adds 1 to `retired[i]` for every entry i of `node`'s row whose item
   /// is in the sorted transaction [begin, end).

@@ -433,6 +433,58 @@ TEST(GemmTest, RecycledWindowModelMatchesFreshModel) {
   }
 }
 
+// A recycled window model's base case mines its first block into the
+// trie the retired window left behind; under every counting strategy the
+// model then equals Apriori over the blocks its window selects.
+TEST(GemmTest, RecycledWindowModelMatchesApriori) {
+  const auto blocks = MakeDriftingBlocks(10, 200, 40, 61);
+  constexpr size_t w = 3;
+  for (const CountingStrategy strategy :
+       {CountingStrategy::kPtScan, CountingStrategy::kEcut,
+        CountingStrategy::kEcutPlus}) {
+    BordersOptions options;
+    options.minsup = 0.05;
+    options.num_items = 40;
+    options.strategy = strategy;
+    for (const BlockSelectionSequence& bss : BssPairFor(w)) {
+      SCOPED_TRACE("strategy=" + std::to_string(static_cast<int>(strategy)) +
+                   (bss.is_window_relative() ? " relative" : " independent"));
+      Gemm<BordersMaintainer, TxBlockPtr> gemm(
+          bss, w, [&options] { return BordersMaintainer(options); });
+      for (size_t t = 1; t <= blocks.size(); ++t) {
+        gemm.AddBlock(blocks[t - 1]);
+        if (t < 2 * w) continue;  // every window model recycled from here
+        const std::vector<BlockId> starts = gemm.ModelStarts();
+        for (size_t i = 0; i < starts.size(); ++i) {
+          SCOPED_TRACE("t=" + std::to_string(t) + " window@" +
+                       std::to_string(starts[i]));
+          std::vector<TxBlockPtr> selected;
+          for (const BlockId id : gemm.ExpectedSelection(starts[i])) {
+            selected.push_back(blocks[id - 1]);
+          }
+          const ItemsetModel& actual = gemm.window_model(i).model();
+          if (selected.empty()) {
+            EXPECT_TRUE(actual.entries().empty());
+            continue;
+          }
+          const ItemsetModel expected =
+              Apriori(selected, options.minsup, options.num_items);
+          EXPECT_EQ(actual.num_transactions(), expected.num_transactions());
+          EXPECT_EQ(actual.NumFrequent(), expected.NumFrequent());
+          ASSERT_EQ(actual.entries().size(), expected.entries().size());
+          for (const auto& [itemset, entry] : expected.entries()) {
+            const auto it = actual.entries().find(itemset);
+            ASSERT_NE(it, actual.entries().end()) << ToString(itemset);
+            EXPECT_EQ(it->second.count, entry.count) << ToString(itemset);
+            EXPECT_EQ(it->second.frequent, entry.frequent)
+                << ToString(itemset);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(AuMTest, AllOnesBssMatchesGemmModel) {
   const auto blocks = MakeBlocks(7, 150, 40, 49);
   BordersOptions options;

@@ -2,13 +2,56 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "datagen/quest_generator.h"
 #include "itemsets/itemset_trie.h"
 
 namespace demon {
+
+// Reads the rank bitmaps the trie keeps for wide nodes and dense retired
+// rows, and builds fresh ones over the same items.
+struct ItemsetTriePeer {
+  struct Bitmap {
+    std::vector<uint64_t> bits;
+    std::vector<uint32_t> ranks;
+    bool operator==(const Bitmap& other) const {
+      return bits == other.bits && ranks == other.ranks;
+    }
+  };
+
+  static Bitmap ChildBitmap(const ItemsetTrie& trie, ItemsetTrie::NodeId node) {
+    const ItemsetTrie::Node& n = trie.nodes_[node];
+    if (n.probe == 0) return {};
+    const ItemsetTrie::RankBitmap& probe = trie.probes_[n.probe - 1];
+    return {probe.bits, probe.ranks};
+  }
+  static Bitmap FreshChildBitmap(const ItemsetTrie& trie,
+                                 ItemsetTrie::NodeId node) {
+    const ItemsetTrie::Node& n = trie.nodes_[node];
+    return Fresh(trie.child_items_.data() + n.child_begin, n.child_count);
+  }
+  static Bitmap RowBitmap(const ItemsetTrie& trie, ItemsetTrie::NodeId node) {
+    const ItemsetTrie::RankBitmap& index = trie.rows_.at(node).index;
+    return {index.bits, index.ranks};
+  }
+  static Bitmap FreshRowBitmap(const ItemsetTrie& trie,
+                               ItemsetTrie::NodeId node) {
+    const std::vector<Item>& items = trie.rows_.at(node).items;
+    return Fresh(items.data(), items.size());
+  }
+
+ private:
+  static Bitmap Fresh(const Item* items, size_t n) {
+    ItemsetTrie::RankBitmap fresh;
+    fresh.Build(items, n);
+    return {fresh.bits, fresh.ranks};
+  }
+};
+
 namespace {
 
 using NodeId = ItemsetTrie::NodeId;
@@ -479,6 +522,44 @@ TEST(ItemsetTrieTest, FarChildOfAWideNodeReleasesItsBitmap) {
     members.push_back({0, b});
   }
   check();
+}
+
+// Ascending inserts past a wide node's bitmap extend it in place, and
+// appends to a dense retired row re-index it: either way the bitmap and
+// its ranks are exactly what a fresh Build over the items gives, word by
+// word, and the audit stays clean.
+TEST(ItemsetTrieTest, AscendingAppendsKeepBitmapsEqualToAFreshBuild) {
+  ItemsetTrie trie;
+  const NodeId wide = trie.Insert({0}, {10, true});
+  const NodeId holder = trie.Insert({1}, {10, true});
+  size_t children = 0;
+  size_t row_entries = 0;
+  for (Item x = 2; x < 4000; x += 1 + x % 5) {
+    // Alternate the two insert paths under the same parent.
+    const NodeId child = x % 2 == 0 ? trie.InsertChild(wide, x, {1, false})
+                                    : trie.Insert({0, x}, {1, false});
+    ASSERT_EQ(trie.parent(child), wide);
+    ++children;
+    const uint64_t count = x;
+    trie.Retire(holder, &x, &count, 1);
+    ++row_entries;
+    SCOPED_TRACE("item " + std::to_string(x));
+    if (children >= 16) {
+      const auto bitmap = ItemsetTriePeer::ChildBitmap(trie, wide);
+      ASSERT_FALSE(bitmap.bits.empty());
+      ASSERT_TRUE(bitmap == ItemsetTriePeer::FreshChildBitmap(trie, wide));
+      ASSERT_EQ(bitmap.bits.size(), x / 64 + 1);
+    }
+    if (row_entries >= 16) {
+      const auto bitmap = ItemsetTriePeer::RowBitmap(trie, holder);
+      ASSERT_FALSE(bitmap.bits.empty());
+      ASSERT_TRUE(bitmap == ItemsetTriePeer::FreshRowBitmap(trie, holder));
+    }
+    audit::AuditResult audit;
+    trie.AuditInto(&audit);
+    ASSERT_TRUE(audit.ok()) << audit.ToString();
+  }
+  EXPECT_GT(children, 1000u);
 }
 
 // One detection walk over `transactions`: node counts into a scratch
